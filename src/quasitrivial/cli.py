@@ -65,38 +65,16 @@ def _parse_order_flag(payload: str, n: int) -> TotalOrder:
     return parse_total_order(f"totalorder {n} : {payload}")
 
 
-def _available_methods(name: str, n: int) -> dict[str, object]:
-    methods: dict[str, object] = dict(counting.METHODS[name])
-    if name in verify.SEQUENCE_SPECS:
-        methods["enumerate"] = lambda m: verify.count_by_enumeration(name, m)
-    if name == "q":
-        methods["bruteforce"] = oracle.brute_count_quasitrivial_associative
-    return methods
-
-
 def _cmd_count(args) -> int:
     name, n = args.name, args.n
-    if name not in counting.METHODS:
-        print(f"unknown sequence {name!r}; choices: {', '.join(counting.SEQUENCE_NAMES)}",
-              file=sys.stderr)
-        return 2
-    if args.all_methods:
-        args.method = "all"
-    methods = _available_methods(name, n)
-    if args.method != "all":
-        method = args.method or next(iter(methods))
-        if method not in methods:
-            print(f"sequence {name!r} has no method {method!r}", file=sys.stderr)
-            return 2
-        try:
-            value = methods[method](n)
-        except CapacityError as exc:
-            print(f"capacity: {exc}", file=sys.stderr)
-            return 2
-        print(f"{name} {n} {value} {method}")
+    if not (args.all_methods or args.method == "all"):
+        method, fn = counting.route(name, n, args.method)
+        print(f"{name} {n} {fn(n)} {method}")
         return 0
     table = counting.SequenceTable(name)
-    for method, fn in methods.items():
+    for method, (start, fn) in counting.routes(name, n).items():
+        if n < start:
+            continue
         try:
             value = fn(n)
         except CapacityError:

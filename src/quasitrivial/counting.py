@@ -4,6 +4,11 @@ Every sequence with several derivations exposes one function per derivation
 (`q_closed`, `q_recurrence`, `q_egf`, `q_appendix`, ...); the derivations are
 independent code paths and the test suite requires them to agree exactly.
 All arithmetic is exact (int / Fraction); nothing here rounds.
+
+`SEQUENCES` is the one place that lists a sequence's routes: its derivations,
+its direct enumeration, its brute-force search, the first index of each, and
+the smallest n the sequence is defined for.  `count`, `verify` and the tests
+read it instead of keeping their own lists.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import ConsistencyError
+from . import oracle
+from .enumeration import FamilySpec, count
+from .errors import CapacityError, ConsistencyError
 
 
 def binomial(n: int, k: int) -> int:
@@ -23,13 +30,18 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
+# Rows 0, 1, ... of the Stirling triangle computed so far; row m holds
+# S(m, 0) .. S(m, m).  Grown bottom-up, so no index is too deep for the stack.
+_STIRLING2_ROWS: list[list[int]] = [[1]]
+
+
 def _stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k <= 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+    rows = _STIRLING2_ROWS
+    while len(rows) <= n:
+        prev = rows[-1]
+        m = len(rows)
+        rows.append([0] + [j * (prev[j] if j < m else 0) + prev[j - 1] for j in range(1, m + 1)])
+    return rows[n][k]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -168,15 +180,22 @@ def q_closed(n: int) -> int:
     return total if n else 1
 
 
-@lru_cache(maxsize=None)
+# q(0), q(1), ... computed so far by `q_recurrence`; q_neutral and q_both
+# reuse them.
+_Q_TERMS: list[int] = [1]
+
+
 def q_recurrence(n: int) -> int:
     """q(n+1) = (n+1) q(n) + 2 sum_{k<n} C(n+1,k) q(k), q(0) = 1."""
-    if n == 0:
-        return 1
-    m = n - 1
-    return (m + 1) * q_recurrence(m) + 2 * sum(
-        math.comb(m + 1, k) * q_recurrence(k) for k in range(m)
-    )
+    if n < 0:
+        raise ValueError(f"q_recurrence needs n >= 0, got {n}")
+    terms = _Q_TERMS
+    while len(terms) <= n:
+        m = len(terms) - 1
+        terms.append(
+            (m + 1) * terms[m] + 2 * sum(math.comb(m + 1, k) * terms[k] for k in range(m))
+        )
+    return terms[n]
 
 
 def _series_q_denominator(order: int) -> PowerSeries:
@@ -349,41 +368,7 @@ def commutative_count(n: int) -> int:
     return math.factorial(n)
 
 
-# --- records and registries ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UCounts:
-    u: int
-    u_e: int
-    u_a: int
-    u_ea: int
-
-
-@dataclass(frozen=True)
-class VCounts:
-    v: int
-    v_e: int
-    v_a: int
-    v_ea: int
-
-
-def u_family(n: int) -> UCounts:
-    """All four u-sequences at once; the three derivations of u and u_e are
-    evaluated and must agree."""
-    u_vals = {u_recurrence(n), u_closed(n), u_gf(n)}
-    ue_vals = {u_e_recurrence(n), u_e_closed(n), u_e_gf(n)}
-    if len(u_vals) != 1 or len(ue_vals) != 1:
-        raise ConsistencyError(f"u-family derivations disagree at n={n}")
-    return UCounts(u_vals.pop(), ue_vals.pop(), u_a(n), u_ea(n))
-
-
-def v_family(n: int) -> VCounts:
-    u_vals = {v_recurrence(n), v_closed(n), v_gf(n)}
-    ue_vals = {v_e_recurrence(n), v_e_closed(n), v_e_gf(n)}
-    if len(u_vals) != 1 or len(ue_vals) != 1:
-        raise ConsistencyError(f"v-family derivations disagree at n={n}")
-    return VCounts(u_vals.pop(), ue_vals.pop(), v_a(n), v_ea(n))
+# --- growth diagnostic --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -422,87 +407,144 @@ def singularity_probe(max_n: int = 30) -> SingularityProbe:
     return SingularityProbe(root=mid, inverse_root=1.0 / mid, ratios=ratios)
 
 
-# Per-sequence derivation registry (pure-arithmetic methods only; the
-# enumeration and brute-force methods are wired up by the CLI layer).
-METHODS: dict[str, dict[str, Callable[[int], int]]] = {
-    "q": {
-        "closed": q_closed,
-        "recurrence": q_recurrence,
-        "egf": q_egf,
-        "appendix": q_appendix,
-    },
-    "q_e": {"closed": q_neutral},
-    "q_a": {"closed": q_annihilator},
-    "q_ea": {"closed": q_both},
-    "p": {
-        "closed": ordered_bell_formula,
-        "recurrence": ordered_bell,
-        "egf": ordered_bell_egf,
-    },
-    "u": {"closed": u_closed, "recurrence": u_recurrence, "gf": u_gf},
-    "u_e": {"closed": u_e_closed, "recurrence": u_e_recurrence, "gf": u_e_gf},
-    "u_a": {"closed": u_a},
-    "u_ea": {"closed": u_ea},
-    "v": {"closed": v_closed, "recurrence": v_recurrence, "gf": v_gf},
-    "v_e": {"closed": v_e_closed, "recurrence": v_e_recurrence, "gf": v_e_gf},
-    "v_a": {"closed": v_a},
-    "v_ea": {"closed": v_ea},
-    "sp": {"closed": single_peaked_count},
-    "comm": {"closed": commutative_count},
-}
-
-SEQUENCE_NAMES = tuple(METHODS)
-
-# OEIS cross-references for the sequences that have them ("shifted" means the
-# OEIS entry starts one index earlier than our n).
-OEIS_IDS = {
-    "q": "A292932",
-    "q_e": "A292933",
-    "q_a": "A292933",
-    "q_ea": "A292934",
-    "p": "A000670",
-    "u": "A048739 (shifted)",
-    "u_e": "A000129",
-    "u_a": "A293004",
-    "u_ea": "A163271 (shifted)",
-    "v": "A293005",
-    "v_e": "A002605",
-    "v_a": "A293006",
-    "v_ea": "A293007",
-}
-
-
-def sequence_value(name: str, n: int, method: str | None = None) -> int:
-    """One sequence term by one named derivation (default: the canonical
-    first-registered one)."""
-    try:
-        methods = METHODS[name]
-    except KeyError:
-        raise ValueError(f"unknown sequence {name!r}") from None
-    if method is None:
-        method = next(iter(methods))
-    try:
-        fn = methods[method]
-    except KeyError:
-        raise ValueError(f"sequence {name!r} has no method {method!r}") from None
-    return fn(n)
+# --- the sequence registry -----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SequenceEntry:
-    name: str
-    n: int
-    value: int
-    method: str
+class Sequence:
+    """One counted sequence and every route to its terms.
+
+    `derivations` maps a method name to a pure-arithmetic function; the first
+    one is the default.  The enumeration route counts
+    `FamilySpec(family, n, filters)` from `enumeration_start` on: below it the
+    term is a convention with no population behind it.  The brute-force route
+    (`bruteforce_start` set) is the raw table search of `oracle`.  Every route
+    is valid only for n >= `start`.
+    """
+
+    derivations: dict[str, Callable[[int], int]]
+    family: str
+    filters: frozenset[str] = frozenset()
+    enumeration_start: int = 1
+    bruteforce_start: int | None = None
+    oeis: str | None = None
+    start: int = 0
+
+
+_MONOTONE = "monotone-for-reference"
+
+# OEIS ids marked "shifted" start one index earlier than our n.  The n = 0
+# terms (except p) are conventions; u_a(1) and v_a(1) are pinned to 0 by their
+# shift formulas (2 u(0) resp. 2 v(0)) even though the one object on a
+# singleton set does have a unique maximum / an annihilator, so their
+# enumerations start at 2.
+SEQUENCES: dict[str, Sequence] = {
+    "q": Sequence(
+        {"closed": q_closed, "recurrence": q_recurrence, "egf": q_egf, "appendix": q_appendix},
+        "qt-semigroups", bruteforce_start=1, oeis="A292932",
+    ),
+    "q_e": Sequence({"closed": q_neutral}, "qt-semigroups", frozenset({"neutral"}),
+                    oeis="A292933"),
+    "q_a": Sequence({"closed": q_annihilator}, "qt-semigroups", frozenset({"annihilator"}),
+                    oeis="A292933"),
+    "q_ea": Sequence({"closed": q_both}, "qt-semigroups",
+                     frozenset({"neutral-and-annihilator-distinct"}), oeis="A292934"),
+    "p": Sequence(
+        {"closed": ordered_bell_formula, "recurrence": ordered_bell, "egf": ordered_bell_egf},
+        "weak-orders", enumeration_start=0, oeis="A000670",
+    ),
+    "u": Sequence({"closed": u_closed, "recurrence": u_recurrence, "gf": u_gf},
+                  "weakly-single-peaked-weak-orders", oeis="A048739 (shifted)"),
+    "u_e": Sequence({"closed": u_e_closed, "recurrence": u_e_recurrence, "gf": u_e_gf},
+                    "weakly-single-peaked-weak-orders", frozenset({"unique-min"}),
+                    oeis="A000129"),
+    "u_a": Sequence({"closed": u_a}, "weakly-single-peaked-weak-orders",
+                    frozenset({"unique-max"}), enumeration_start=2, oeis="A293004"),
+    "u_ea": Sequence({"closed": u_ea}, "weakly-single-peaked-weak-orders",
+                     frozenset({"unique-min-and-max-distinct"}), oeis="A163271 (shifted)"),
+    "v": Sequence({"closed": v_closed, "recurrence": v_recurrence, "gf": v_gf},
+                  "qt-semigroups", frozenset({_MONOTONE}), oeis="A293005"),
+    "v_e": Sequence({"closed": v_e_closed, "recurrence": v_e_recurrence, "gf": v_e_gf},
+                    "qt-semigroups", frozenset({_MONOTONE, "neutral"}), oeis="A002605"),
+    "v_a": Sequence({"closed": v_a}, "qt-semigroups", frozenset({_MONOTONE, "annihilator"}),
+                    enumeration_start=2, oeis="A293006"),
+    "v_ea": Sequence({"closed": v_ea}, "qt-semigroups",
+                     frozenset({_MONOTONE, "neutral-and-annihilator-distinct"}),
+                     oeis="A293007"),
+    "sp": Sequence({"closed": single_peaked_count}, "single-peaked-total-orders", start=1),
+    "comm": Sequence({"closed": commutative_count}, "qt-semigroups",
+                     frozenset({"commutative"}), start=1),
+}
+
+# The derivation dicts themselves, so that replacing an entry here replaces
+# it for every caller.
+METHODS: dict[str, dict[str, Callable[[int], int]]] = {
+    name: seq.derivations for name, seq in SEQUENCES.items()
+}
+
+def count_by_enumeration(name: str, n: int) -> int:
+    """The sequence value by direct generation and filtering.
+
+    Convention-valued terms (below the sequence's `enumeration_start`) raise
+    CapacityError: the definitional count would disagree with the published
+    convention there.
+    """
+    seq = SEQUENCES[name]
+    if n < seq.enumeration_start:
+        raise CapacityError(f"{name}({n}) is a convention, not an enumeration")
+    return count(FamilySpec(seq.family, n, seq.filters))
+
+
+def routes(name: str, n: int) -> dict[str, tuple[int, Callable[[int], int]]]:
+    """Every route to name(n) with its first index, in the order
+    `count --method all` runs them: the derivations, then `enumerate`, then
+    `bruteforce`.
+
+    This is the one domain check: an unknown name or an n below the
+    sequence's `start` raises ValueError.  Routes are looked up here, per
+    call, so a replaced derivation or oracle function is the one called.
+    """
+    try:
+        seq = SEQUENCES[name]
+    except KeyError:
+        raise ValueError(f"unknown sequence {name!r}; choices: {', '.join(SEQUENCES)}") from None
+    if n < seq.start:
+        raise ValueError(f"{name}(n) is defined for n >= {seq.start}, got {n}")
+    found = {method: (seq.start, fn) for method, fn in seq.derivations.items()}
+    found["enumerate"] = (seq.enumeration_start, lambda m: count_by_enumeration(name, m))
+    if seq.bruteforce_start is not None:
+        found["bruteforce"] = (
+            seq.bruteforce_start,
+            lambda m: oracle.brute_count_quasitrivial_associative(m),
+        )
+    return found
+
+
+def route(name: str, n: int, method: str | None = None) -> tuple[str, Callable[[int], int]]:
+    """The named route to name(n) and its name (default: the first
+    derivation).  Asked for below its first index, a route raises its own
+    error."""
+    available = routes(name, n)
+    if method is None:
+        method = next(iter(available))
+    try:
+        return method, available[method][1]
+    except KeyError:
+        raise ValueError(f"sequence {name!r} has no method {method!r}") from None
+
+
+def sequence_value(name: str, n: int, method: str | None = None) -> int:
+    """One sequence term by one named route (default: the first derivation)."""
+    _, fn = route(name, n, method)
+    return fn(n)
 
 
 class SequenceTable:
-    """Values of one named sequence with the derivation that produced each;
-    recording a disagreeing value raises immediately."""
+    """Values of one named sequence; recording a value that disagrees with
+    an earlier one raises immediately."""
 
     def __init__(self, name: str):
         self.name = name
-        self.entries: list[SequenceEntry] = []
         self._by_n: dict[int, int] = {}
 
     def record(self, n: int, value: int, method: str) -> None:
@@ -512,7 +554,3 @@ class SequenceTable:
                 f"earlier method gave {self._by_n[n]}"
             )
         self._by_n.setdefault(n, value)
-        self.entries.append(SequenceEntry(self.name, n, value, method))
-
-    def value(self, n: int) -> int:
-        return self._by_n[n]

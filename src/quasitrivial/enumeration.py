@@ -111,11 +111,6 @@ def weak_orders(n: int) -> Iterator[WeakOrder]:
     return (WeakOrder(vec) for vec in rank_vectors(n))
 
 
-def ordered_set_partitions(n: int) -> Iterator[WeakOrder]:
-    """All ordered partitions of {1..n}, i.e. the weak orderings."""
-    return weak_orders(n)
-
-
 def total_orders(n: int) -> Iterator[TotalOrder]:
     """All total orderings of {1..n} in lexicographic rank-vector order."""
     if n > TOTAL_ORDER_MAX_N:

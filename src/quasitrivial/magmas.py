@@ -47,10 +47,6 @@ class FiniteBinOp:
         """The commutative maximum operation of a total ordering."""
         return cls.from_function(t.n, t.larger)
 
-    @classmethod
-    def min_under(cls, t: TotalOrder) -> "FiniteBinOp":
-        return cls.from_function(t.n, t.smaller)
-
     @property
     def n(self) -> int:
         return len(self.rows)

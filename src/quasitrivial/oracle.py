@@ -22,6 +22,14 @@ COMMUTATIVE_SEARCH_MAX_N = 5
 MONOTONIZABLE_MAX_N = 4
 
 
+def _check_size(n: int, limit: int, search: str) -> None:
+    # n < 1 is a bad request, not a size the search could reach with more room
+    if n < 1:
+        raise ValueError(f"{search} needs n >= 1, got {n}")
+    if n > limit:
+        raise CapacityError(f"{search} is limited to n <= {limit}")
+
+
 def _triples_distinct_first(n: int) -> list[tuple[int, int, int, int]]:
     # Precomputed flat-index arithmetic for F(F(x,y),z) == F(x,F(y,z)).
     # Triples with pairwise distinct x, y, z come first: on quasitrivial
@@ -51,8 +59,7 @@ def brute_count_quasitrivial_associative(
     Every mask is visited exactly once; the visit count is asserted.
     Sharding splits the mask range into contiguous blocks.
     """
-    if not 1 <= n <= QT_SEARCH_MAX_N:
-        raise CapacityError(f"raw quasitrivial search is limited to n <= {QT_SEARCH_MAX_N}")
+    _check_size(n, QT_SEARCH_MAX_N, "raw quasitrivial search")
     if not 0 <= shard_index < shard_count:
         raise ValueError("need 0 <= shard_index < shard_count")
     pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
@@ -112,8 +119,7 @@ def check_neutral_monotone_implies_quasitrivial(n: int) -> tuple[bool, str | Non
 
     Returns (True, None) when no counterexample exists, else (False, table).
     """
-    if not 1 <= n <= IDEMPOTENT_SEARCH_MAX_N:
-        raise CapacityError(f"idempotent search is limited to n <= {IDEMPOTENT_SEARCH_MAX_N}")
+    _check_size(n, IDEMPOTENT_SEARCH_MAX_N, "idempotent search")
     off_diagonal = [(x, y) for x in range(n) for y in range(n) if x != y]
     triples = _triples_distinct_first(n)
     table = [0] * (n * n)
@@ -136,10 +142,7 @@ def check_neutral_monotone_implies_quasitrivial(n: int) -> tuple[bool, str | Non
 def check_commutative_monotone_implies_associative(n: int) -> tuple[bool, str | None]:
     """Search all commutative quasitrivial tables for a naturally monotone one
     that is not associative."""
-    if not 1 <= n <= COMMUTATIVE_SEARCH_MAX_N:
-        raise CapacityError(
-            f"commutative quasitrivial search is limited to n <= {COMMUTATIVE_SEARCH_MAX_N}"
-        )
+    _check_size(n, COMMUTATIVE_SEARCH_MAX_N, "commutative quasitrivial search")
     unordered = [(x, y) for x in range(n) for y in range(x + 1, n)]
     triples = _triples_distinct_first(n)
     table = [0] * (n * n)
@@ -161,8 +164,7 @@ def brute_count_monotonizable(n: int) -> int:
     """Count associative quasitrivial tables that are monotone for at least
     one total ordering, by trying every ordering against every table from the
     structural stream."""
-    if not 1 <= n <= MONOTONIZABLE_MAX_N:
-        raise CapacityError(f"monotonizable count is limited to n <= {MONOTONIZABLE_MAX_N}")
+    _check_size(n, MONOTONIZABLE_MAX_N, "monotonizable count")
     from .enumeration import qt_semigroups
     from .magmas import is_order_preserving
     from .orders import TotalOrder

@@ -30,23 +30,6 @@ class WeakOrder:
             if min(ranks) < 1 or seen != set(range(1, k + 1)):
                 raise ValueError(f"rank vector {ranks} is not surjective onto 1..k")
 
-    @classmethod
-    def from_ranks(cls, ranks: Iterable[int]) -> "WeakOrder":
-        return cls(tuple(ranks))
-
-    @classmethod
-    def from_classes(cls, classes: Iterable[Iterable[int]]) -> "WeakOrder":
-        """Build from an ordered partition, bottom class first."""
-        blocks = [tuple(block) for block in classes]
-        n = sum(len(b) for b in blocks)
-        ranks = [0] * n
-        for i, block in enumerate(blocks, start=1):
-            for x in block:
-                if not 1 <= x <= n or ranks[x - 1]:
-                    raise ValueError(f"blocks do not partition 1..{n}")
-                ranks[x - 1] = i
-        return cls(tuple(ranks))
-
     @property
     def n(self) -> int:
         return len(self.ranks)
@@ -59,13 +42,6 @@ class WeakOrder:
     def rank_of(self, x: int) -> int:
         return self.ranks[x - 1]
 
-    def lt(self, x: int, y: int) -> bool:
-        """Strictly below: x comes strictly before y."""
-        return self.ranks[x - 1] < self.ranks[y - 1]
-
-    def le(self, x: int, y: int) -> bool:
-        return self.ranks[x - 1] <= self.ranks[y - 1]
-
     def equiv(self, x: int, y: int) -> bool:
         return self.ranks[x - 1] == self.ranks[y - 1]
 
@@ -75,10 +51,6 @@ class WeakOrder:
         for x, r in enumerate(self.ranks, start=1):
             blocks[r - 1].add(x)
         return tuple(frozenset(b) for b in blocks)
-
-    def class_of(self, x: int) -> frozenset[int]:
-        r = self.ranks[x - 1]
-        return frozenset(y for y in range(1, self.n + 1) if self.ranks[y - 1] == r)
 
     def minimal_elements(self) -> frozenset[int]:
         return frozenset(x for x, r in enumerate(self.ranks, start=1) if r == 1)
@@ -141,17 +113,8 @@ class TotalOrder:
     def rank_of(self, x: int) -> int:
         return self.ranks[x - 1]
 
-    def lt(self, x: int, y: int) -> bool:
-        return self.ranks[x - 1] < self.ranks[y - 1]
-
-    def le(self, x: int, y: int) -> bool:
-        return self.ranks[x - 1] <= self.ranks[y - 1]
-
     def larger(self, x: int, y: int) -> int:
         return x if self.ranks[x - 1] >= self.ranks[y - 1] else y
-
-    def smaller(self, x: int, y: int) -> int:
-        return x if self.ranks[x - 1] <= self.ranks[y - 1] else y
 
     def ordered_elements(self) -> tuple[int, ...]:
         """Elements listed from smallest to largest."""

@@ -59,12 +59,6 @@ class KimuraDecomposition:
     def make(cls, order: WeakOrder, sides: Mapping[int, str]) -> "KimuraDecomposition":
         return cls(order, tuple(sorted(sides.items())))
 
-    def side_for(self, rank: int) -> str:
-        for r, side in self.choices:
-            if r == rank:
-                return side
-        raise KeyError(rank)
-
 
 def build(d: KimuraDecomposition, minimum: bool = False) -> FiniteBinOp:
     """The table of a decomposition: across distinct classes the strictly

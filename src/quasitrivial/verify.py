@@ -14,8 +14,9 @@ from itertools import product
 from typing import Callable, Iterator
 
 from . import counting, oracle
+from .counting import count_by_enumeration
 from .enumeration import FamilySpec, count, kimura_decompositions, total_orders, weak_orders
-from .errors import CapacityError, ConsistencyError
+from .errors import ConsistencyError
 from .magmas import (
     FiniteBinOp,
     graphical_quasitriviality_test,
@@ -27,29 +28,7 @@ from .magmas import (
 from .orders import TotalOrder, is_single_peaked, is_weakly_single_peaked, profile_patterns
 from .structure import build, decompose
 
-# Family + filters that realize each sequence as a direct enumeration.
-SEQUENCE_SPECS: dict[str, tuple[str, frozenset[str]]] = {
-    "q": ("qt-semigroups", frozenset()),
-    "q_e": ("qt-semigroups", frozenset({"neutral"})),
-    "q_a": ("qt-semigroups", frozenset({"annihilator"})),
-    "q_ea": ("qt-semigroups", frozenset({"neutral-and-annihilator-distinct"})),
-    "v": ("qt-semigroups", frozenset({"monotone-for-reference"})),
-    "v_e": ("qt-semigroups", frozenset({"monotone-for-reference", "neutral"})),
-    "v_a": ("qt-semigroups", frozenset({"monotone-for-reference", "annihilator"})),
-    "v_ea": (
-        "qt-semigroups",
-        frozenset({"monotone-for-reference", "neutral-and-annihilator-distinct"}),
-    ),
-    "u": ("weakly-single-peaked-weak-orders", frozenset()),
-    "u_e": ("weakly-single-peaked-weak-orders", frozenset({"unique-min"})),
-    "u_a": ("weakly-single-peaked-weak-orders", frozenset({"unique-max"})),
-    "u_ea": ("weakly-single-peaked-weak-orders", frozenset({"unique-min-and-max-distinct"})),
-    "p": ("weak-orders", frozenset()),
-    "sp": ("single-peaked-total-orders", frozenset()),
-    "comm": ("qt-semigroups", frozenset({"commutative"})),
-}
-
-# Published values (see the OEIS ids in `counting.OEIS_IDS`) pinning n = 6.
+# Published values (see the OEIS ids in `counting.SEQUENCES`) pinning n = 6.
 REFERENCE_VALUES = {
     ("q", 6): 12166,
     ("q_e", 6): 7092,
@@ -69,26 +48,6 @@ REFERENCE_VALUES = {
 }
 
 
-# First index at which the definitional enumeration matches the sequence.
-# The n = 0 terms (except p) are conventions with no population behind them.
-# u_a(1) and v_a(1) are likewise pinned to 0 by their shift formulas
-# (2 u(0) resp. 2 v(0)) even though the one object on a singleton set does
-# have a unique maximum / an annihilator, so their enumerations start at 2.
-ENUMERATION_START = {"p": 0, "u_a": 2, "v_a": 2}
-
-
-def count_by_enumeration(name: str, n: int) -> int:
-    """The sequence value by direct generation and filtering.
-
-    Convention-valued terms (see ENUMERATION_START) raise CapacityError: the
-    definitional count would disagree with the published convention there.
-    """
-    family, filters = SEQUENCE_SPECS[name]
-    if n < ENUMERATION_START.get(name, 1):
-        raise CapacityError(f"{name}({n}) is a convention, not an enumeration")
-    return count(FamilySpec(family, n, filters))
-
-
 class CheckFailure(Exception):
     pass
 
@@ -101,12 +60,10 @@ class CheckResult:
 
 
 def _check_method_agreement() -> str:
-    for name in counting.SEQUENCE_NAMES:
+    for name, seq in counting.SEQUENCES.items():
         table = counting.SequenceTable(name)
-        for n in range(7):
-            for method, fn in counting.METHODS[name].items():
-                if name in ("sp", "comm") and n == 0:
-                    continue
+        for n in range(seq.start, 7):
+            for method, fn in seq.derivations.items():
                 try:
                     table.record(n, fn(n), method)
                 except ConsistencyError as exc:
@@ -123,8 +80,8 @@ def _check_reference_values() -> str:
 
 
 def _check_enumeration_agreement() -> str:
-    for name in SEQUENCE_SPECS:
-        for n in range(ENUMERATION_START.get(name, 1), 6):
+    for name, seq in counting.SEQUENCES.items():
+        for n in range(seq.enumeration_start, 6):
             formula = counting.sequence_value(name, n)
             enumerated = count_by_enumeration(name, n)
             if formula != enumerated:

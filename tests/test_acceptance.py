@@ -51,11 +51,6 @@ TABLE_V = {
     "v_ea": [0, 0, 2, 4, 12, 32, 88],
 }
 
-# n = 0 rows are conventions throughout; u_a(1) and v_a(1) likewise come from
-# the shift formulas, so their enumeration cross-check starts at n = 2.
-ENUM_START = {"u_a": 2, "v_a": 2}
-
-
 @contextmanager
 def criterion(number, description, budget_seconds):
     start = time.perf_counter()
@@ -120,7 +115,7 @@ def test_criterion_03_table_u_all_methods_and_enumeration():
             for n in range(7):
                 for fn in methods[name]:
                     assert fn(n) == row[n], (name, n)
-                if n >= ENUM_START.get(name, 1):
+                if n >= C.SEQUENCES[name].enumeration_start:
                     assert count_by_enumeration(name, n) == row[n], (name, n)
 
 
@@ -152,7 +147,7 @@ def test_criterion_04_table_v_all_methods_and_enumeration():
                 with_both += bool(e) and bool(a) and e.isdisjoint(a)
             assert total == TABLE_V["v"][n]
             assert with_e == TABLE_V["v_e"][n]
-            if n >= 2:  # v_a(1) = 0 is the shift-formula convention
+            if n >= C.SEQUENCES["v_a"].enumeration_start:
                 assert with_a == TABLE_V["v_a"][n]
             assert with_both == TABLE_V["v_ea"][n]
 
@@ -266,8 +261,7 @@ def test_criterion_12_singularity_probe():
 
 def test_criterion_13_method_agreement_sweep():
     with criterion(13, "every multi-derivation sequence agrees exactly to n = 30", 5.0):
-        for name in C.SEQUENCE_NAMES:
-            start = 1 if name in ("sp", "comm") else 0
-            for n in range(start, 31):
-                values = {fn(n) for fn in C.METHODS[name].values()}
+        for name, seq in C.SEQUENCES.items():
+            for n in range(seq.start, 31):
+                values = {fn(n) for fn in seq.derivations.values()}
                 assert len(values) == 1, (name, n)

@@ -1,10 +1,17 @@
 """CLI: subcommand behavior, exit codes, stream separation, determinism."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from quasitrivial import counting
-from quasitrivial.cli import main
+from quasitrivial.cli import ORACLE_CHECKS, main
 from conftest import X3_NOT_QUASITRIVIAL, X4_NEVER_MONOTONE, X4_PEAKED
+
+# `python -m` finds the package from here whether or not it is installed
+PACKAGE_PARENT = Path(counting.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -66,6 +73,17 @@ class TestCount:
         code, _, err = run(capsys, "count", "q", "6", "--method", "bruteforce")
         assert code == 2
         assert "capacity" in err
+
+    @pytest.mark.parametrize("name", list(counting.SEQUENCES))
+    def test_below_domain_rejected(self, capsys, name):
+        below = counting.SEQUENCES[name].start - 1
+        for extra in ((), ("--method", "all")):
+            code, out, err = run(capsys, "count", name, str(below), *extra)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+        with pytest.raises(ValueError):
+            counting.sequence_value(name, below)
 
     def test_convention_term_not_enumerable(self, capsys):
         code, _, err = run(capsys, "count", "v_a", "1", "--method", "enumerate")
@@ -279,6 +297,13 @@ class TestOracle:
         assert code == 2
         assert "capacity" in err
 
+    @pytest.mark.parametrize("check", ORACLE_CHECKS)
+    def test_empty_set_is_bad_input_not_capacity(self, capsys, check):
+        code, out, err = run(capsys, "oracle", check, "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "n >= 1" in err
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):
@@ -303,12 +328,10 @@ class TestVerify:
 
 class TestSubprocess:
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "quasitrivial", "count", "q", "4"],
             capture_output=True,
+            cwd=PACKAGE_PARENT,
             text=True,
         )
         assert proc.returncode == 0
@@ -316,13 +339,11 @@ class TestSubprocess:
         assert proc.stderr == ""
 
     def test_stdin_pipe(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "quasitrivial", "decompose", "-"],
             input=X4_PEAKED,
             capture_output=True,
+            cwd=PACKAGE_PARENT,
             text=True,
         )
         assert proc.returncode == 0

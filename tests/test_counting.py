@@ -9,7 +9,7 @@ import pytest
 from quasitrivial import ConsistencyError
 from quasitrivial import counting as C
 
-# Published reference rows for n = 0..6 (cf. the OEIS ids in C.OEIS_IDS).
+# Published reference rows for n = 0..6 (cf. the OEIS ids in C.SEQUENCES).
 TABLE_Q = {
     "q": [1, 1, 4, 20, 138, 1182, 12166],
     "q_e": [0, 1, 2, 12, 80, 690, 7092],
@@ -71,6 +71,7 @@ class TestBasics:
         for n in range(31):
             for k in range(0, n + 1, max(1, n // 5)):
                 assert C.stirling2(n, k) == C.stirling2_explicit(n, k)
+        assert C.stirling2(600, 300) == C.stirling2_explicit(600, 300)  # past the stack limit
 
     def test_stirling_range_check(self):
         with pytest.raises(ValueError):
@@ -121,6 +122,15 @@ class TestQ:
             values = {C.q_closed(n), C.q_recurrence(n), C.q_egf(n), C.q_appendix(n)}
             assert len(values) == 1
 
+    def test_recurrence_deep_index(self):
+        # past the stack limit, against q(n) = 2 sum_{k<n} C(n,k) q(k) - n q(n-1)
+        terms = [1]
+        for n in range(1, 601):
+            terms.append(2 * sum(math.comb(n, k) * terms[k] for k in range(n)) - n * terms[-1])
+        assert C.q_recurrence(600) == terms[600]
+        with pytest.raises(ValueError):
+            C.q_recurrence(-1)
+
     def test_derived_families(self):
         assert [C.q_neutral(n) for n in range(7)] == TABLE_Q["q_e"]
         assert [C.q_annihilator(n) for n in range(7)] == TABLE_Q["q_a"]
@@ -134,11 +144,6 @@ class TestUFamily:
     def test_table_rows(self):
         for name, row in TABLE_U.items():
             assert [C.sequence_value(name, n) for n in range(7)] == row
-
-    def test_record_values(self):
-        rec = C.u_family(5)
-        assert (rec.u, rec.u_e, rec.u_a, rec.u_ea) == (49, 29, 40, 24)
-        assert C.u_family(0) == C.UCounts(0, 0, 0, 0)
 
     def test_closed_form_inner_sum(self):
         # 2 u(4) + 1 must equal C(5,0) + 2 C(5,2) + 4 C(5,4) = 41
@@ -171,11 +176,6 @@ class TestVFamily:
     def test_table_rows(self):
         for name, row in TABLE_V.items():
             assert [C.sequence_value(name, n) for n in range(7)] == row
-
-    def test_record_values(self):
-        rec = C.v_family(6)
-        assert (rec.v, rec.v_e, rec.v_a, rec.v_ea) == (258, 120, 188, 88)
-        assert C.v_family(1) == C.VCounts(1, 1, 0, 0)
 
     def test_closed_form_inner_sum(self):
         # 3 v(2) + 2 = 14: the k = 0 term contributes 8, the k = 1 term 6
@@ -247,8 +247,8 @@ class TestSingularityProbe:
 
 class TestRegistry:
     def test_every_sequence_has_methods(self):
-        for name in C.SEQUENCE_NAMES:
-            assert C.METHODS[name]
+        for name, seq in C.SEQUENCES.items():
+            assert seq.derivations and C.METHODS[name] is seq.derivations
 
     def test_sequence_value_dispatch(self):
         assert C.sequence_value("q", 6) == 12166
@@ -257,13 +257,6 @@ class TestRegistry:
             C.sequence_value("zz", 3)
         with pytest.raises(ValueError):
             C.sequence_value("q", 3, "gf")
-
-    def test_method_agreement_sweep(self):
-        for name in C.SEQUENCE_NAMES:
-            start = 1 if name in ("sp", "comm") else 0
-            for n in range(start, 31):
-                values = {fn(n) for fn in C.METHODS[name].values()}
-                assert len(values) == 1, (name, n)
 
     def test_sequence_table_flags_mismatch(self):
         table = C.SequenceTable("q")
@@ -274,11 +267,7 @@ class TestRegistry:
 
 
 def test_u_counts_tie_to_subset_sums():
-    # independent oracle for the u closed form at small n: count the weakly
-    # single-peaked structures via the doubling construction by brute force
-    # over left/right growth strings (each ordering of {1..n} arises from a
-    # sequence of "take leftmost/rightmost remaining" choices with ties)
-    # -- here simply cross-check u against the enumeration module
+    # u against a direct count of the weakly single-peaked weak orderings
     from quasitrivial.enumeration import FamilySpec, count
 
     for n in range(1, 7):

@@ -17,7 +17,6 @@ from quasitrivial.enumeration import (
     count,
     generate,
     kimura_decompositions,
-    ordered_set_partitions,
     qt_semigroups,
     rank_vectors,
     total_orders,
@@ -54,11 +53,6 @@ class TestWeakOrderStream:
     def test_counts_match_independent_recurrence(self):
         for n in range(8):
             assert sum(1 for _ in weak_orders(n)) == independent_ordered_bell(n)
-
-    def test_first_values(self):
-        assert sum(1 for _ in ordered_set_partitions(3)) == 13
-        assert sum(1 for _ in ordered_set_partitions(1)) == 1
-        assert sum(1 for _ in ordered_set_partitions(4)) == 75
 
     def test_lexicographic_order(self):
         vectors = list(rank_vectors(3))

@@ -33,7 +33,7 @@ class TestQuasitrivialSearch:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             brute_count_quasitrivial_associative(6)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError, match=r"needs n >= 1"):  # bad input, not capacity
             brute_count_quasitrivial_associative(0)
 
     def test_invalid_shard(self):
