@@ -9,8 +9,10 @@ There are no configuration files or environment variables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
+from itertools import islice
 
 from . import counting, oracle, verify
 from .enumeration import FAMILIES, FamilySpec, generate
@@ -38,6 +40,9 @@ from .orders import TotalOrder
 from .render import FORMATS, render_contour, render_profile
 from .structure import classify, decompose, monotonizing_orders
 
+# `enumerate` writes its listing this many lines at a time, never whole
+ENUMERATE_CHUNK_LINES = 2048
+
 ORACLE_CHECKS = (
     "qt-associative-count",
     "neutral-implies-quasitrivial",
@@ -53,12 +58,16 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _open_output(path: str | None):
+    """The file at `path` for writing, or stdout (left open) if None."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_output(text: str, path: str | None) -> None:
+    with _open_output(path) as out:
+        out.write(text)
 
 
 def _parse_order_flag(payload: str, n: int) -> TotalOrder:
@@ -90,17 +99,22 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _emitter(family: str):
+    """The one-line emitter of a family's objects."""
+    if family in ("total-orders", "single-peaked-total-orders"):
+        return emit_total_order
+    if family in ("weak-orders", "weakly-single-peaked-weak-orders"):
+        return emit_weak_order
+    return emit_cayley_line
+
+
 def _cmd_enumerate(args) -> int:
     spec = FamilySpec(args.family, args.n, frozenset(args.filter))
-    lines = []
-    for obj in generate(spec, args.shard, args.shards):
-        if args.family in ("total-orders", "single-peaked-total-orders"):
-            lines.append(emit_total_order(obj))
-        elif args.family in ("weak-orders", "weakly-single-peaked-weak-orders"):
-            lines.append(emit_weak_order(obj))
-        else:
-            lines.append(emit_cayley_line(obj))
-    _write_output("".join(line + "\n" for line in lines), args.output)
+    # errors in the spec or the shard raise here, before --output is opened
+    stream = map(_emitter(args.family), generate(spec, args.shard, args.shards))
+    with _open_output(args.output) as out:
+        while chunk := list(islice(stream, ENUMERATE_CHUNK_LINES)):
+            out.write("\n".join(chunk) + "\n")
     return 0
 
 

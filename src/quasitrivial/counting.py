@@ -16,12 +16,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 from . import oracle
 from .enumeration import FamilySpec, count
-from .errors import CapacityError, ConsistencyError
+from .errors import ConsistencyError
+
+
+def _from_zero(fn: Callable[[int], int]) -> Callable[[int], int]:
+    """A derivation that raises ValueError for n < 0, where no sequence has a
+    term, instead of returning whatever its formula gives there."""
+
+    @wraps(fn)
+    def checked(n: int) -> int:
+        if n < 0:
+            raise ValueError(f"{fn.__name__} needs n >= 0, got {n}")
+        return fn(n)
+
+    return checked
 
 
 def binomial(n: int, k: int) -> int:
@@ -141,11 +154,13 @@ def rational_gf_term(numerator: tuple[int, ...], denominator: tuple[int, ...], n
 # --- ordered Bell numbers: weak orderings / ordered partitions ---------------
 
 
+@_from_zero
 def ordered_bell_formula(n: int) -> int:
     """p(n) = sum_k S(n,k) k!."""
     return sum(stirling2(n, k) * math.factorial(k) for k in range(n + 1))
 
 
+@_from_zero
 @lru_cache(maxsize=None)
 def ordered_bell(n: int) -> int:
     """p(n) by the binomial recurrence, p(0) = 1."""
@@ -160,6 +175,7 @@ def _series_two_minus_exp(order: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
+@_from_zero
 def ordered_bell_egf(n: int) -> int:
     """p(n) = n! times coefficient n of 1 / (2 - e^z)."""
     return _egf_int_coefficient(_series_two_minus_exp(n + 1).reciprocal(), n)
@@ -168,6 +184,7 @@ def ordered_bell_egf(n: int) -> int:
 # --- q: associative quasitrivial operations ----------------------------------
 
 
+@_from_zero
 def q_closed(n: int) -> int:
     """The double-sum closed form
     q(n) = sum_i 2^i sum_k (-1)^k C(n,k) S(n-k,i) (i+k)!."""
@@ -185,10 +202,9 @@ def q_closed(n: int) -> int:
 _Q_TERMS: list[int] = [1]
 
 
+@_from_zero
 def q_recurrence(n: int) -> int:
     """q(n+1) = (n+1) q(n) + 2 sum_{k<n} C(n+1,k) q(k), q(0) = 1."""
-    if n < 0:
-        raise ValueError(f"q_recurrence needs n >= 0, got {n}")
     terms = _Q_TERMS
     while len(terms) <= n:
         m = len(terms) - 1
@@ -207,11 +223,13 @@ def _series_q_denominator(order: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
+@_from_zero
 def q_egf(n: int) -> int:
     """q(n) = n! times coefficient n of 1 / (z + 3 - 2 e^z)."""
     return _egf_int_coefficient(_series_q_denominator(n + 1).reciprocal(), n)
 
 
+@_from_zero
 def q_appendix(n: int) -> int:
     """The permuted double sum
     q(n) = sum_i (-2)^i sum_{k>=i} (-1)^k C(n,k-i) S(n-k+i,i) k!."""
@@ -226,16 +244,19 @@ def q_appendix(n: int) -> int:
     return total
 
 
+@_from_zero
 def q_neutral(n: int) -> int:
     """Operations with a neutral element: n q(n-1); zero at n = 0."""
     return n * q_recurrence(n - 1) if n >= 1 else 0
 
 
+@_from_zero
 def q_annihilator(n: int) -> int:
     """Operations with an annihilator: also n q(n-1)."""
     return q_neutral(n)
 
 
+@_from_zero
 def q_both(n: int) -> int:
     """Operations with distinct neutral and annihilator: n(n-1) q(n-2)."""
     return n * (n - 1) * q_recurrence(n - 2) if n >= 2 else 0
@@ -265,11 +286,13 @@ def _exact_shifted_div(total: int, shift: int, divisor: int, label: str) -> int:
     return q
 
 
+@_from_zero
 def u_recurrence(n: int) -> int:
     """u(n+2) = 2u(n+1) + u(n) + 1, u(0) = 0, u(1) = 1."""
     return _second_order(n, 2, 1, 1, 0, 1)
 
 
+@_from_zero
 def u_closed(n: int) -> int:
     """2u(n) + 1 = sum_k C(n+1, 2k) 2^k (the integer form of the radical
     expression)."""
@@ -277,29 +300,35 @@ def u_closed(n: int) -> int:
     return _exact_shifted_div(total, 1, 2, "u closed form")
 
 
+@_from_zero
 def u_gf(n: int) -> int:
     return rational_gf_term(*U_GF, n)
 
 
+@_from_zero
 def u_e_recurrence(n: int) -> int:
     """u_e(n+2) = 2u_e(n+1) + u_e(n): the Pell numbers."""
     return _second_order(n, 2, 1, 0, 0, 1)
 
 
+@_from_zero
 def u_e_closed(n: int) -> int:
     """u_e(n) = sum_k C(n, 2k+1) 2^k."""
     return sum(math.comb(n, 2 * k + 1) * 2**k for k in range((n + 1) // 2))
 
 
+@_from_zero
 def u_e_gf(n: int) -> int:
     return rational_gf_term(*U_E_GF, n)
 
 
+@_from_zero
 def u_a(n: int) -> int:
     """u_a(n) = 2 u(n-1); zero at n = 0."""
     return 2 * u_recurrence(n - 1) if n >= 1 else 0
 
 
+@_from_zero
 def u_ea(n: int) -> int:
     """u_ea(n) = 2 u_e(n-1); zero at n = 0."""
     return 2 * u_e_recurrence(n - 1) if n >= 1 else 0
@@ -308,11 +337,13 @@ def u_ea(n: int) -> int:
 # --- v: associative quasitrivial order-preserving operations -----------------
 
 
+@_from_zero
 def v_recurrence(n: int) -> int:
     """v(n+2) = 2v(n+1) + 2v(n) + 2, v(0) = 0, v(1) = 1."""
     return _second_order(n, 2, 2, 2, 0, 1)
 
 
+@_from_zero
 def v_closed(n: int) -> int:
     """3v(n) + 2 = sum_k 3^k (2 C(n,2k) + 3 C(n,2k+1))."""
     total = sum(
@@ -322,29 +353,35 @@ def v_closed(n: int) -> int:
     return _exact_shifted_div(total, 2, 3, "v closed form")
 
 
+@_from_zero
 def v_gf(n: int) -> int:
     return rational_gf_term(*V_GF, n)
 
 
+@_from_zero
 def v_e_recurrence(n: int) -> int:
     """v_e(n+2) = 2v_e(n+1) + 2v_e(n), v_e(0) = 0, v_e(1) = 1."""
     return _second_order(n, 2, 2, 0, 0, 1)
 
 
+@_from_zero
 def v_e_closed(n: int) -> int:
     """v_e(n) = sum_k C(n, 2k+1) 3^k."""
     return sum(math.comb(n, 2 * k + 1) * 3**k for k in range((n + 1) // 2))
 
 
+@_from_zero
 def v_e_gf(n: int) -> int:
     return rational_gf_term(*V_E_GF, n)
 
 
+@_from_zero
 def v_a(n: int) -> int:
     """v_a(n) = 2 v(n-1); zero at n = 0."""
     return 2 * v_recurrence(n - 1) if n >= 1 else 0
 
 
+@_from_zero
 def v_ea(n: int) -> int:
     """v_ea(n) = 2 v_e(n-1); zero at n = 0."""
     return 2 * v_e_recurrence(n - 1) if n >= 1 else 0
@@ -486,12 +523,12 @@ def count_by_enumeration(name: str, n: int) -> int:
     """The sequence value by direct generation and filtering.
 
     Convention-valued terms (below the sequence's `enumeration_start`) raise
-    CapacityError: the definitional count would disagree with the published
-    convention there.
+    ValueError: the definitional count would disagree with the published
+    convention there.  That is no size limit, so it is not a CapacityError.
     """
     seq = SEQUENCES[name]
     if n < seq.enumeration_start:
-        raise CapacityError(f"{name}({n}) is a convention, not an enumeration")
+        raise ValueError(f"{name}({n}) is a convention, not an enumeration")
     return count(FamilySpec(seq.family, n, seq.filters))
 
 

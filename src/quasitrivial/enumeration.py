@@ -10,7 +10,7 @@ by calling the function again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator
 
 from .errors import CapacityError
@@ -22,7 +22,10 @@ from .magmas import (
     neutral_elements,
 )
 from .orders import TotalOrder, WeakOrder, is_single_peaked, is_weakly_single_peaked
-from .structure import LEFT, RIGHT, KimuraDecomposition, build
+# `build` is no longer called here; it stays in this namespace because the
+# benchmark's tracer self-test (perfbench/selftest.py) patches
+# `enumeration.build`.
+from .structure import LEFT, RIGHT, KimuraDecomposition, build, projection_rows  # noqa: F401
 
 WEAK_ORDER_MAX_N = 10
 TOTAL_ORDER_MAX_N = 10
@@ -116,39 +119,92 @@ def total_orders(n: int) -> Iterator[TotalOrder]:
     if n > TOTAL_ORDER_MAX_N:
         raise CapacityError(f"total-order enumeration is limited to n <= {TOTAL_ORDER_MAX_N}")
     if n == 0:
-        raise CapacityError("total orders need n >= 1")
+        raise ValueError("total orders need n >= 1")
     return (TotalOrder(vec) for vec in permutations(range(1, n + 1)))
+
+
+def _check_operation_n(n: int) -> None:
+    if n > QT_SEMIGROUP_MAX_N:
+        raise CapacityError(
+            f"operation enumeration is limited to n <= {QT_SEMIGROUP_MAX_N}"
+        )
+    if n == 0:
+        raise ValueError("operation enumeration needs n >= 1")
+
+
+def _check_shard(shard_index: int, shard_count: int) -> None:
+    if not 0 <= shard_index < shard_count:
+        raise ValueError("need 0 <= shard_index < shard_count")
+
+
+def _fat_ranks(order: WeakOrder) -> list[int]:
+    """Ranks of the classes of size >= 2, bottom first."""
+    sizes = [0] * (order.k + 1)
+    for r in order.ranks:
+        sizes[r] += 1
+    return [r for r, size in enumerate(sizes) if size >= 2]
+
+
+def _choice_shifts(fat: list[int]) -> dict[int, int]:
+    """For choice number `bits` of an ordering with fat classes `fat`, the
+    class of rank r is a right projection iff bit ``shifts[r]`` of `bits` is
+    set: the bottom-most fat class is the most significant bit, and left (0)
+    comes before right (1)."""
+    m = len(fat)
+    return {rank: m - 1 - j for j, rank in enumerate(fat)}
 
 
 def kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
     """All factored forms on {1..n}: weak orderings in lexicographic order,
     within one ordering the projection choices counted in binary with left
     before right (bottom-most fat class most significant)."""
-    if n > QT_SEMIGROUP_MAX_N:
-        raise CapacityError(
-            f"operation enumeration is limited to n <= {QT_SEMIGROUP_MAX_N}"
-        )
-    if n == 0:
-        raise CapacityError("operation enumeration needs n >= 1")
+    _check_operation_n(n)
     return _kimura_decompositions(n)
 
 
 def _kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
     for order in weak_orders(n):
-        fat = [r for r, block in enumerate(order.classes(), start=1) if len(block) >= 2]
-        m = len(fat)
-        for bits in range(1 << m):
+        shifts = _choice_shifts(_fat_ranks(order))
+        for bits in range(1 << len(shifts)):
             choices = tuple(
-                (rank, RIGHT if (bits >> (m - 1 - j)) & 1 else LEFT)
-                for j, rank in enumerate(fat)
+                (rank, RIGHT if bits >> shift & 1 else LEFT) for rank, shift in shifts.items()
             )
             yield KimuraDecomposition(order, choices)
 
 
-def qt_semigroups(n: int) -> Iterator[FiniteBinOp]:
+def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[FiniteBinOp]:
     """All associative quasitrivial operations on {1..n}, built structurally
-    (never by filtering raw tables; that route lives in the oracle module)."""
-    return (build(d) for d in kimura_decompositions(n))
+    (never by filtering raw tables; that route lives in the oracle module),
+    in the order of `kimura_decompositions`.
+
+    With a shard, only the tables whose stream index is congruent to
+    `shard_index` modulo `shard_count` are built.  The tables of one weak
+    ordering hold stream indices [i, i + 2^m), m its number of fat classes;
+    an ordering whose block holds none of the shard's indices is skipped.
+    """
+    _check_operation_n(n)
+    _check_shard(shard_index, shard_count)
+    return _qt_semigroups(n, shard_index, shard_count)
+
+
+def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[FiniteBinOp]:
+    start = 0  # stream index of the first table of the current ordering
+    for order in weak_orders(n):
+        fat = _fat_ranks(order)
+        size = 1 << len(fat)
+        first = (shard_index - start) % shard_count
+        start += size
+        if first >= size:
+            continue
+        shifts = _choice_shifts(fat)
+        # row x of each table is one of the pair shared by all 2^m tables,
+        # picked by the choice bit of x's class (any bit for a singleton)
+        keyed = [
+            (pair, shifts.get(r, 0))
+            for pair, r in zip(projection_rows(order), order.ranks)
+        ]
+        for bits in range(first, size, shard_count):
+            yield FiniteBinOp(tuple([pair[bits >> shift & 1] for pair, shift in keyed]))
 
 
 def _passes(obj, name: str, reference: TotalOrder) -> bool:
@@ -176,37 +232,37 @@ def _passes(obj, name: str, reference: TotalOrder) -> bool:
 def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
     """Stream the family named by `spec`, each qualifying object exactly once.
 
-    Sharding slices the unfiltered base stream round-robin by index, so the
-    union of all shards equals the serial stream regardless of filters.
+    A shard holds the objects of the unfiltered base stream whose index is
+    congruent to `shard_index` modulo `shard_count`, filtered afterwards, so
+    the union of all shards equals the serial stream regardless of filters.
+    Operation tables are sharded before they are built, so a shard of K
+    builds about 1/K of the tables; the order families are sliced
+    round-robin.  Bad input raises here, before the first object is asked
+    for.
     """
-    if not 0 <= shard_index < shard_count:
-        raise ValueError("need 0 <= shard_index < shard_count")
+    _check_shard(shard_index, shard_count)
     n = spec.n
-    if spec.family == "total-orders":
-        base = total_orders(n)
-    elif spec.family == "weak-orders":
-        base = weak_orders(n)
-    elif spec.family == "single-peaked-total-orders":
-        ref = TotalOrder.natural(n) if n else None
-        base = (t for t in total_orders(n) if is_single_peaked(ref, t))
-    elif spec.family == "weakly-single-peaked-weak-orders":
-        if n == 0:
-            raise CapacityError("peakedness families need n >= 1")
-        ref = TotalOrder.natural(n)
-        base = (w for w in weak_orders(n) if is_weakly_single_peaked(ref, w))
+    if spec.family == "qt-semigroups":
+        base = qt_semigroups(n, shard_index, shard_count)
     else:
-        base = qt_semigroups(n)
+        if spec.family == "total-orders":
+            orders = total_orders(n)
+        elif spec.family == "weak-orders":
+            orders = weak_orders(n)
+        elif spec.family == "single-peaked-total-orders":
+            ref = TotalOrder.natural(n) if n else None
+            orders = (t for t in total_orders(n) if is_single_peaked(ref, t))
+        else:
+            if n == 0:
+                raise ValueError("peakedness families need n >= 1")
+            ref = TotalOrder.natural(n)
+            orders = (w for w in weak_orders(n) if is_weakly_single_peaked(ref, w))
+        base = islice(orders, shard_index, None, shard_count)
+    if not spec.filters:
+        return base
     reference = TotalOrder.natural(n) if n >= 1 else None
     filters = sorted(spec.filters)
-
-    def stream():
-        for i, obj in enumerate(base):
-            if i % shard_count != shard_index:
-                continue
-            if all(_passes(obj, name, reference) for name in filters):
-                yield obj
-
-    return stream()
+    return (obj for obj in base if all(_passes(obj, name, reference) for name in filters))
 
 
 def count(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1) -> int:

@@ -20,6 +20,7 @@ emitters produce the canonical byte-deterministic form.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .errors import ParseError
 from .magmas import FiniteBinOp
@@ -110,7 +111,9 @@ def parse_cayley_line(text: str) -> FiniteBinOp:
 
 
 def emit_cayley_line(f: FiniteBinOp) -> str:
-    flat = " ".join(str(v) for row in f.rows for v in row)
+    # n + 1 str() calls per table instead of n^2: entries are 1..n
+    labels = [str(v) for v in range(f.n + 1)]
+    flat = " ".join(map(labels.__getitem__, chain.from_iterable(f.rows)))
     return f"cayley {f.n} : {flat}"
 
 
@@ -133,7 +136,7 @@ def parse_weak_order(text: str) -> WeakOrder:
 
 
 def emit_weak_order(w: WeakOrder) -> str:
-    return f"weakorder {w.n} : " + " ".join(str(r) for r in w.ranks)
+    return f"weakorder {w.n} : " + " ".join(map(str, w.ranks))
 
 
 def parse_total_order(text: str) -> TotalOrder:
@@ -147,7 +150,7 @@ def parse_total_order(text: str) -> TotalOrder:
 
 
 def emit_total_order(t: TotalOrder) -> str:
-    return f"totalorder {t.n} : " + " ".join(str(x) for x in t.ordered_elements())
+    return f"totalorder {t.n} : " + " ".join(map(str, t.ordered_elements()))
 
 
 def _bool(value: bool) -> str:

@@ -20,13 +20,13 @@ class FiniteBinOp:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0:
             raise ValueError("empty table")
         for row in rows:
-            if len(row) != n or any(not 1 <= v <= n for v in row):
+            if len(row) != n or min(row) < 1 or max(row) > n:
                 raise ValueError("table is not square over 1..n")
 
     @classmethod

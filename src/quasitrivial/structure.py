@@ -60,6 +60,30 @@ class KimuraDecomposition:
         return cls(order, tuple(sorted(sides.items())))
 
 
+def projection_rows(
+    order: WeakOrder, minimum: bool = False
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Row x of every table with weak ordering `order`, for each x: the pair
+    (row when x's class is a left projection, row when it is a right one).
+
+    Across distinct classes the strictly larger argument wins (the strictly
+    smaller with ``minimum=True``); inside x's class the projection applies.
+    The two rows differ only inside the class, so for a singleton class the
+    pair holds one tuple twice.
+    """
+    # with minimum=True compare negated ranks, so "larger key wins" holds
+    keys = tuple(-r for r in order.ranks) if minimum else order.ranks
+    cells = tuple(enumerate(keys, start=1))
+    pairs = []
+    for x, kx in cells:
+        left = tuple([y if ky > kx else x for y, ky in cells])
+        if keys.count(kx) == 1:
+            pairs.append((left, left))
+        else:
+            pairs.append((left, tuple([y if ky >= kx else x for y, ky in cells])))
+    return tuple(pairs)
+
+
 def build(d: KimuraDecomposition, minimum: bool = False) -> FiniteBinOp:
     """The table of a decomposition: across distinct classes the strictly
     larger argument wins, inside a class the chosen projection applies.
@@ -67,26 +91,11 @@ def build(d: KimuraDecomposition, minimum: bool = False) -> FiniteBinOp:
     With ``minimum=True`` the strictly smaller argument wins instead; applied
     to the inverse ordering this reproduces the same table.
     """
-    ranks = d.order.ranks
     side = dict(d.choices)
-    n = d.order.n
-    rows = []
-    for x in range(1, n + 1):
-        rx = ranks[x - 1]
-        row = []
-        for y in range(1, n + 1):
-            ry = ranks[y - 1]
-            if rx == ry:
-                if x == y:
-                    row.append(x)
-                else:
-                    row.append(x if side[rx] == LEFT else y)
-            elif (rx > ry) != minimum:
-                row.append(x)
-            else:
-                row.append(y)
-        rows.append(tuple(row))
-    return FiniteBinOp(tuple(rows))
+    pairs = projection_rows(d.order, minimum)
+    return FiniteBinOp(
+        tuple(pair[side.get(r) == RIGHT] for pair, r in zip(pairs, d.order.ranks))
+    )
 
 
 def _require_decomposable(f: FiniteBinOp) -> None:

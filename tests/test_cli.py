@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, exit codes, stream separation, determinism."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from quasitrivial import counting
-from quasitrivial.cli import ORACLE_CHECKS, main
+from quasitrivial.cli import ENUMERATE_CHUNK_LINES, ORACLE_CHECKS, main
 from conftest import X3_NOT_QUASITRIVIAL, X4_NEVER_MONOTONE, X4_PEAKED
 
 # `python -m` finds the package from here whether or not it is installed
@@ -89,6 +90,7 @@ class TestCount:
         code, _, err = run(capsys, "count", "v_a", "1", "--method", "enumerate")
         assert code == 2
         assert "convention" in err
+        assert err.startswith("error: ")  # bad input, not a capacity limit
         # but the all sweep still works, skipping the enumeration
         code, out, _ = run(capsys, "count", "v_a", "1", "--method", "all")
         assert code == 0
@@ -142,6 +144,46 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "weak-orders", "--n", "12")
         assert code == 2
         assert "capacity" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qt-semigroups", "--n", "10"),
+            ("qt-semigroups", "--n", "3", "--shards", "2", "--shard", "2"),
+        ],
+    )
+    def test_rejected_run_creates_no_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, "enumerate", *argv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "qt-semigroups",
+            "total-orders",
+            "single-peaked-total-orders",
+            "weakly-single-peaked-weak-orders",
+        ],
+    )
+    def test_empty_set_is_an_input_error(self, capsys, family):
+        code, out, err = run(capsys, "enumerate", family, "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_listing_longer_than_one_write(self, capsys, tmp_path):
+        # q(6) = 12166 lines span several write chunks
+        target = tmp_path / "q6.txt"
+        code, _, _ = run(capsys, "enumerate", "qt-semigroups", "--n", "6", "--output", str(target))
+        assert code == 0
+        assert ENUMERATE_CHUNK_LINES < 12166
+        text = target.read_text()
+        assert text.count("\n") == len(text.splitlines()) == 12166
+        assert text.endswith("\n")
 
     def test_bad_filter(self, capsys):
         code, _, err = run(capsys, "enumerate", "weak-orders", "--n", "3", "--filter", "neutral")
@@ -363,3 +405,24 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+    # stdout SHA-256 of each listing, computed at a commit that built every
+    # table cell by cell and sliced shards after building
+    PINNED_SHA256 = {
+        ("qt-semigroups", "--n", "5"):
+            "aa01c3100679882a96d82e79309c6510045ce7ad21eeed1783f47c9475fb2e48",
+        ("qt-semigroups", "--n", "5", "--shards", "3", "--shard", "0"):
+            "648dfc1889a21f3cf52b295cf441f9d2d4419b304bab80115fcb4710c766ae19",
+        ("qt-semigroups", "--n", "5", "--shards", "3", "--shard", "1"):
+            "e7b5a5fa831aca97aa4209cdbfd38d65e83d4ed233ea83a3ac80954d9408aaab",
+        ("qt-semigroups", "--n", "5", "--shards", "3", "--shard", "2"):
+            "0dd5fb0d7f0c5c3ffc4245b582154e1f2734d833d0142325e2c15fa46bf7c03f",
+        ("weak-orders", "--n", "6"):
+            "73bc92bd24f48a07f16974a6c2a9c4b9bb53094e815a09ebc35ce19edc9eb202",
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED_SHA256))
+    def test_pinned_listing_bytes(self, capsys, argv):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256[argv]

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from quasitrivial import ConsistencyError
+from quasitrivial import CapacityError, ConsistencyError
 from quasitrivial import counting as C
 
 # Published reference rows for n = 0..6 (cf. the OEIS ids in C.SEQUENCES).
@@ -257,6 +257,23 @@ class TestRegistry:
             C.sequence_value("zz", 3)
         with pytest.raises(ValueError):
             C.sequence_value("q", 3, "gf")
+
+    @pytest.mark.parametrize(
+        "name,method",
+        [(name, method) for name, seq in C.SEQUENCES.items() for method in seq.derivations],
+    )
+    def test_derivation_rejects_index_below_start(self, name, method):
+        # called directly, past the registry's domain check: bad input is a
+        # ValueError, never a number, a ConsistencyError or an IndexError
+        fn = C.METHODS[name][method]
+        for n in (C.SEQUENCES[name].start - 1, -3):
+            with pytest.raises(ValueError):
+                fn(n)
+
+    def test_convention_term_is_not_a_capacity_limit(self):
+        with pytest.raises(ValueError, match="convention") as info:
+            C.count_by_enumeration("v_a", 1)
+        assert not isinstance(info.value, CapacityError)
 
     def test_sequence_table_flags_mismatch(self):
         table = C.SequenceTable("q")

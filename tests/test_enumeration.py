@@ -23,6 +23,7 @@ from quasitrivial.enumeration import (
     weak_orders,
 )
 from quasitrivial.formats import emit_cayley_line, emit_weak_order
+from quasitrivial.structure import build
 
 
 def independent_ordered_bell(n):
@@ -122,11 +123,35 @@ class TestOperationStream:
                 assert is_associative(f)
                 assert is_quasitrivial(f)
 
+    def test_stream_equals_built_decompositions(self):
+        # the tables made from shared rows, in order, against `build` of each
+        # factored form of the reference stream
+        for n in range(1, 7):
+            assert list(qt_semigroups(n)) == [build(d) for d in kimura_decompositions(n)]
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             qt_semigroups(10)
         with pytest.raises(CapacityError):
+            kimura_decompositions(10)
+        # an empty set is bad input, not a size limit
+        with pytest.raises(ValueError) as info:
             qt_semigroups(0)
+        assert not isinstance(info.value, CapacityError)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            kimura_decompositions,
+            total_orders,
+            lambda n: generate(FamilySpec("single-peaked-total-orders", n)),
+            lambda n: generate(FamilySpec("weakly-single-peaked-weak-orders", n)),
+        ],
+    )
+    def test_empty_set_is_bad_input_not_capacity(self, make):
+        with pytest.raises(ValueError) as info:
+            make(0)
+        assert not isinstance(info.value, CapacityError)
 
 
 class TestCountsAgainstFormulas:
@@ -228,6 +253,19 @@ class TestSharding:
             assert sorted(map(repr, merged)) == sorted(map(repr, serial))
             assert sum(count(spec, i, shards) for i in range(shards)) == len(serial)
 
+    @pytest.mark.parametrize("filters", [frozenset(), frozenset({"neutral"})])
+    @pytest.mark.parametrize("shards", [2, 3, 4, 7])
+    def test_shard_is_a_slice_of_the_serial_stream(self, filters, shards):
+        # shard i holds the unfiltered stream's indices i, i + K, ..., in
+        # order, less what the filters drop
+        base = list(generate(FamilySpec("qt-semigroups", 5)))
+        kept = set(generate(FamilySpec("qt-semigroups", 5, filters)))
+        for i in range(shards):
+            got = list(generate(FamilySpec("qt-semigroups", 5, filters), i, shards))
+            assert got == [f for f in base[i::shards] if f in kept]
+
     def test_invalid_shard(self):
         with pytest.raises(ValueError):
             list(generate(FamilySpec("weak-orders", 3), 3, 3))
+        with pytest.raises(ValueError):
+            qt_semigroups(3, 2, 2)

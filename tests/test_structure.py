@@ -22,7 +22,7 @@ from quasitrivial import (
     weak_order_from_degrees,
 )
 from quasitrivial.enumeration import kimura_decompositions, qt_semigroups
-from quasitrivial.structure import monotonizing_orders
+from quasitrivial.structure import monotonizing_orders, projection_rows
 
 
 def decomp(ranks, **sides):
@@ -70,6 +70,37 @@ class TestBuild:
                     d.order.inverse(), {k + 1 - r: side for r, side in d.choices}
                 )
                 assert build(flipped, minimum=True) == build(d)
+
+
+def build_cell_by_cell(d, minimum=False):
+    """Reference: the table rule applied to every cell on its own."""
+    ranks, side = d.order.ranks, dict(d.choices)
+    n = d.order.n
+
+    def cell(x, y):
+        rx, ry = ranks[x - 1], ranks[y - 1]
+        if rx == ry:
+            return x if x == y or side[rx] == "left" else y
+        return x if (rx > ry) != minimum else y
+
+    return FiniteBinOp(tuple(tuple(cell(x, y) for y in range(1, n + 1)) for x in range(1, n + 1)))
+
+
+class TestProjectionRows:
+    def test_build_matches_cell_by_cell_rule(self):
+        for n in range(1, 6):
+            for d in kimura_decompositions(n):
+                for minimum in (False, True):
+                    assert build(d, minimum) == build_cell_by_cell(d, minimum)
+
+    def test_rows_differ_only_inside_the_class(self):
+        order = WeakOrder((2, 1, 2, 3, 1))
+        pairs = projection_rows(order)
+        assert pairs[0] == ((1, 1, 1, 4, 1), (1, 1, 3, 4, 1))
+        assert pairs[1] == ((1, 2, 3, 4, 2), (1, 2, 3, 4, 5))
+        # a singleton class has one row, shared by both sides
+        assert pairs[3][0] is pairs[3][1]
+        assert pairs[3][0] == (4, 4, 4, 4, 4)
 
 
 class TestInducedWeakOrder:
