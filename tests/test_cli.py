@@ -426,3 +426,16 @@ class TestDeterminism:
         code, out, err = run(capsys, "enumerate", *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256[argv]
+
+    # stdout SHA-256 of each verify level, computed at a commit whose
+    # acceptance tests still re-implemented verify's checks
+    VERIFY_SHA256 = {
+        "quick": "4bde4926924d33c8ecd815281f5a6c66a1d87dcb361331cf56fb4444f8d63e23",
+        "full": "09126d4964ded937e5cc92726cc5052acbd64120f8de076df9de391d51421183",
+    }
+
+    @pytest.mark.parametrize("level", list(VERIFY_SHA256))
+    def test_pinned_verify_bytes(self, capsys, level):
+        code, out, err = run(capsys, "verify", level)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_SHA256[level]

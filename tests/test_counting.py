@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 

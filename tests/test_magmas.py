@@ -153,6 +153,16 @@ class TestNeutralAnnihilator:
     def test_non_quasitrivial_example_has_annihilator(self, x3_not_quasitrivial):
         assert annihilator_elements(x3_not_quasitrivial) == {2}
         assert neutral_elements(x3_not_quasitrivial) == frozenset()
+        # and both agree with their quantifier definitions on every table
+        for n in (1, 2, 3):
+            elems = range(1, n + 1)
+            for f in all_tables(n):
+                assert neutral_elements(f) == {
+                    e for e in elems if all(f(x, e) == x == f(e, x) for x in elems)
+                }
+                assert annihilator_elements(f) == {
+                    a for a in elems if all(f(x, a) == a == f(a, x) for x in elems)
+                }
 
     def test_at_most_one_of_each_when_associative_quasitrivial(self):
         for f in all_quasitrivial_tables(4):
@@ -195,11 +205,6 @@ class TestGraphicalQuasitriviality:
         non_idempotent = FiniteBinOp(((2, 1), (1, 2)))
         assert not graphical_quasitriviality_test(non_idempotent)
 
-    def test_agrees_with_definition_on_all_tables(self):
-        for n in (1, 2, 3):
-            for f in all_tables(n):
-                assert graphical_quasitriviality_test(f) == is_quasitrivial(f)
-
 
 class TestRectangleAssociativity:
     def test_requires_quasitrivial_input(self, x3_not_quasitrivial):
@@ -219,13 +224,6 @@ class TestRectangleAssociativity:
         assert len(results) == 64
         assert results == definitional
         assert sum(results) == 20
-
-    def test_agrees_with_associativity_on_four_elements(self):
-        count = 0
-        for f in all_quasitrivial_tables(4):
-            assert rectangle_associativity_test(f) == is_associative(f)
-            count += 1
-        assert count == 2**12
 
 
 class TestImplicationSweeps:

@@ -35,6 +35,10 @@ class TestTypes:
             WeakOrder((1, 3))  # rank 2 missing
         with pytest.raises(ValueError):
             WeakOrder((0, 1))
+        with pytest.raises(ValueError):
+            WeakOrder((2, 2))  # rank 1 missing
+        with pytest.raises(ValueError):
+            WeakOrder((1, 1, 3))
 
     def test_total_order_requires_permutation(self):
         with pytest.raises(ValueError):
@@ -300,14 +304,6 @@ class TestProfilePatterns:
             for w in weak_orders(n):
                 flags = profile_patterns(t, w)
                 assert (flags.l_free and flags.reversed_l_free) == plateaus_are_minimal(t, w)
-
-    def test_three_pattern_characterization(self):
-        # the central equivalence: weak single-peakedness == V, L, reversed-L
-        # all absent, exhaustively
-        for n in range(1, 7):
-            t = TotalOrder.natural(n)
-            for w in weak_orders(n):
-                assert profile_patterns(t, w).all_free() == is_weakly_single_peaked(t, w)
 
 
 class TestMinMaxElements:

@@ -18,7 +18,6 @@ from quasitrivial import (
     is_associative,
     is_order_preserving,
     is_quasitrivial,
-    is_weakly_single_peaked,
     weak_order_from_degrees,
 )
 from quasitrivial.enumeration import kimura_decompositions, qt_semigroups
@@ -271,15 +270,6 @@ class TestMonotonizingOrders:
 
         with pytest.raises(CapacityError):
             exists_monotonizing_order(f)
-
-
-class TestMonotoneEquivalence:
-    def test_order_preserving_iff_weakly_single_peaked(self):
-        for n in range(1, 6):
-            ref = TotalOrder.natural(n)
-            for d in kimura_decompositions(n):
-                f = build(d)
-                assert is_order_preserving(f, ref) == is_weakly_single_peaked(ref, d.order)
 
 
 class TestClassify:
