@@ -10,7 +10,6 @@ inverse bijections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Mapping
 
 from .errors import CapacityError, ConsistencyError, DecompositionError
@@ -185,16 +184,61 @@ def commutative_characterization(f: FiniteBinOp) -> TotalOrder | None:
 
 def monotonizing_orders(f: FiniteBinOp) -> Iterator[TotalOrder]:
     """All total orderings t with f order-preserving for t, in lexicographic
-    order of the element listing.  Plain factorial search, capacity-limited."""
+    order of the element listing.  Capacity-limited.
+
+    Depth-first search over prefixes of the listing, smallest candidate first.
+    Let key(v) be v's position in the prefix, or n while v is unplaced.  Every
+    completion puts a placed u below each v with key(u) < key(v), and an
+    unplaced value above every placed one, so the prefix has no
+    order-preserving completion if for such u, v and some y
+    key(F(u,y)) > key(F(v,y)) or key(F(y,u)) > key(F(y,v)).  Each complete
+    listing is still accepted by `is_order_preserving`.
+    """
     n = f.n
     if n > MONOTONE_SEARCH_MAX_N:
         raise CapacityError(
             f"monotonizing-order search is limited to n <= {MONOTONE_SEARCH_MAX_N}"
         )
-    for elems in permutations(range(1, n + 1)):
-        t = TotalOrder.from_ordered_elements(elems)
-        if is_order_preserving(f, t):
-            yield t
+    rows = [[v - 1 for v in row] for row in f.rows]
+    # F(u, y) read along rows, F(y, u) along columns: both arguments at once
+    sides = (rows, [list(col) for col in zip(*rows)])
+    key = [n] * n
+    listing = []
+
+    def viable() -> bool:
+        # the keys of F(u, y) must not fall along the prefix, and no unplaced
+        # v may have F(v, y) keyed below the last of them
+        unplaced = [v for v in range(n) if key[v] == n]
+        for table in sides:
+            for y in range(n):
+                top = 0
+                for u in listing:
+                    k = key[table[u][y]]
+                    if k < top:
+                        return False
+                    top = k
+                for v in unplaced:
+                    if key[table[v][y]] < top:
+                        return False
+        return True
+
+    def extend() -> Iterator[TotalOrder]:
+        depth = len(listing)
+        if depth == n:
+            t = TotalOrder.from_ordered_elements(e + 1 for e in listing)
+            if is_order_preserving(f, t):
+                yield t
+            return
+        for e in range(n):
+            if key[e] == n:
+                key[e] = depth
+                listing.append(e)
+                if viable():
+                    yield from extend()
+                listing.pop()
+                key[e] = n
+
+    yield from extend()
 
 
 def exists_monotonizing_order(f: FiniteBinOp) -> TotalOrder | None:
@@ -242,7 +286,7 @@ def classify(
     """Populate a ClassificationReport against a reference ordering.
 
     The monotonizing-order list is truncated at `monotone_limit` entries, and
-    skipped entirely (marked truncated) above the factorial-search capacity.
+    skipped entirely (marked truncated) above the search capacity.
     """
     n = f.n
     reference = reference or TotalOrder.natural(n)

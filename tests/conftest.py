@@ -1,4 +1,6 @@
-"""Shared fixtures: the worked-example Cayley tables used across the suite.
+"""Shared fixtures and helpers: the worked-example Cayley tables used across
+the suite, exhaustive table generators, and the plain factorial filter that
+the monotonizing-order search is compared with.
 
 The X4 and X6 tables are transcriptions of known contour-plot examples; each
 fixture's defining properties (associativity, quasitriviality, degrees,
@@ -6,10 +8,46 @@ ordering, monotonicity) are asserted in the test modules, so a transcription
 slip cannot pass silently.
 """
 
+from itertools import permutations, product
+
 import pytest
 
-from quasitrivial import FiniteBinOp, TotalOrder
+from quasitrivial import FiniteBinOp, TotalOrder, is_order_preserving
 from quasitrivial.formats import parse_cayley
+
+
+def all_tables(n):
+    for values in product(range(1, n + 1), repeat=n * n):
+        yield FiniteBinOp(tuple(values[i * n : (i + 1) * n] for i in range(n)))
+
+
+def all_quasitrivial_tables(n):
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
+    for bits in product((0, 1), repeat=len(pairs)):
+        rows = [[x for _ in range(n)] for x in range(1, n + 1)]
+        for (x, y), b in zip(pairs, bits):
+            rows[x - 1][y - 1] = y if b else x
+        yield FiniteBinOp(tuple(tuple(r) for r in rows))
+
+
+def all_commutative_quasitrivial_tables(n):
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)]
+    for bits in product((0, 1), repeat=len(pairs)):
+        rows = [[x for _ in range(n)] for x in range(1, n + 1)]
+        for (x, y), b in zip(pairs, bits):
+            v = y if b else x
+            rows[x - 1][y - 1] = v
+            rows[y - 1][x - 1] = v
+        yield FiniteBinOp(tuple(tuple(r) for r in rows))
+
+
+def monotonizing_orders_by_filter(f):
+    """Every ordering, in lexicographic order of the element listing, kept
+    when f is order-preserving for it."""
+    for elems in permutations(range(1, f.n + 1)):
+        t = TotalOrder.from_ordered_elements(elems)
+        if is_order_preserving(f, t):
+            yield t
 
 # Commutative, associative, quasitrivial, monotone for the natural ordering
 # of X6; equals the maximum under 4 < 5 < 3 < 2 < 6 < 1.

@@ -22,30 +22,7 @@ from quasitrivial import (
 )
 from quasitrivial.magmas import order_preserving_by_definition, random_idempotent_table
 
-
-def all_tables(n):
-    for values in product(range(1, n + 1), repeat=n * n):
-        yield FiniteBinOp(tuple(values[i * n : (i + 1) * n] for i in range(n)))
-
-
-def all_quasitrivial_tables(n):
-    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
-    for bits in product((0, 1), repeat=len(pairs)):
-        rows = [[x for _ in range(n)] for x in range(1, n + 1)]
-        for (x, y), b in zip(pairs, bits):
-            rows[x - 1][y - 1] = y if b else x
-        yield FiniteBinOp(tuple(tuple(r) for r in rows))
-
-
-def all_commutative_quasitrivial_tables(n):
-    pairs = [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)]
-    for bits in product((0, 1), repeat=len(pairs)):
-        rows = [[x for _ in range(n)] for x in range(1, n + 1)]
-        for (x, y), b in zip(pairs, bits):
-            v = y if b else x
-            rows[x - 1][y - 1] = v
-            rows[y - 1][x - 1] = v
-        yield FiniteBinOp(tuple(tuple(r) for r in rows))
+from conftest import all_commutative_quasitrivial_tables, all_quasitrivial_tables, all_tables
 
 
 class TestTableType:

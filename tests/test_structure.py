@@ -1,5 +1,8 @@
 """Structure: the factorization bijection, recovery routes, classification."""
 
+import math
+import random
+
 import pytest
 
 from quasitrivial import (
@@ -22,6 +25,8 @@ from quasitrivial import (
 )
 from quasitrivial.enumeration import kimura_decompositions, qt_semigroups
 from quasitrivial.structure import monotonizing_orders, projection_rows
+
+from conftest import all_quasitrivial_tables, all_tables, monotonizing_orders_by_filter
 
 
 def decomp(ranks, **sides):
@@ -230,17 +235,10 @@ class TestCommutativeCharacterization:
     def test_degree_route_equals_structural_route_on_quasitrivial_tables(self):
         # commutative + associative <=> degree sequence (0, 2, ..., 2n-2),
         # over every quasitrivial table (not only associative ones)
-        from itertools import product
-
         from quasitrivial import degree_sequence, is_commutative
 
         for n in range(1, 5):
-            pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
-            for bits in product((0, 1), repeat=len(pairs)):
-                rows = [[x for _ in range(n)] for x in range(1, n + 1)]
-                for (x, y), b in zip(pairs, bits):
-                    rows[x - 1][y - 1] = y if b else x
-                f = FiniteBinOp(tuple(tuple(r) for r in rows))
+            for f in all_quasitrivial_tables(n):
                 lhs = is_commutative(f) and is_associative(f)
                 rhs = degree_sequence(f) == tuple(range(0, 2 * n, 2))
                 assert lhs == rhs
@@ -270,6 +268,33 @@ class TestMonotonizingOrders:
 
         with pytest.raises(CapacityError):
             exists_monotonizing_order(f)
+
+    # the factorial filter is the reference: on every listed table the search
+    # yields exactly its orderings, in its order
+    FILTER_FAMILIES = {
+        "tables-n3": lambda: (f for n in (1, 2, 3) for f in all_tables(n)),
+        "quasitrivial-n4": lambda: all_quasitrivial_tables(4),
+        "qt-semigroups-n5": lambda: (f for n in range(1, 6) for f in qt_semigroups(n)),
+    }
+
+    @pytest.mark.parametrize("family", list(FILTER_FAMILIES))
+    def test_search_equals_factorial_filter(self, family):
+        for f in self.FILTER_FAMILIES[family]():
+            assert list(monotonizing_orders(f)) == list(monotonizing_orders_by_filter(f)), f.rows
+
+    def test_count_equals_structural_count(self):
+        # along an order-preserving t the ranks fall strictly to the bottom
+        # class, which is one contiguous block, and then rise strictly: each
+        # other class holds at most two elements, one on each side
+        tables = [f for n in range(1, 6) for f in qt_semigroups(n)]
+        tables += random.Random(6).sample(list(qt_semigroups(6)), 300)
+        for f in tables:
+            classes = decompose(f).order.classes()
+            if any(len(block) >= 3 for block in classes[1:]):
+                expected = 0
+            else:
+                expected = math.factorial(len(classes[0])) * 2 ** (len(classes) - 1)
+            assert sum(1 for _ in monotonizing_orders(f)) == expected, f.rows
 
 
 class TestClassify:
