@@ -45,7 +45,13 @@ class FiniteBinOp:
     @classmethod
     def max_under(cls, t: TotalOrder) -> "FiniteBinOp":
         """The commutative maximum operation of a total ordering."""
-        return cls.from_function(t.n, t.larger)
+        ranks = t.ranks
+        return cls(
+            tuple(
+                tuple(x if rx >= ry else y for y, ry in enumerate(ranks, start=1))
+                for x, rx in enumerate(ranks, start=1)
+            )
+        )
 
     @property
     def n(self) -> int:
@@ -101,14 +107,12 @@ def is_order_preserving(f: FiniteBinOp, t: TotalOrder) -> bool:
     if f.n != t.n:
         raise ValueError("operation and ordering have different cardinalities")
     elems = t.ordered_elements()
-    rank = t.ranks
-    n = f.n
-    for i in range(n - 1):
-        a, b = elems[i], elems[i + 1]
-        for y in range(1, n + 1):
-            if rank[f(a, y) - 1] > rank[f(b, y) - 1]:
-                return False
-            if rank[f(y, a) - 1] > rank[f(y, b) - 1]:
+    rank = (0, *t.ranks)  # rank[v] for a table value v in 1..n
+    rows = f.rows
+    for i in range(f.n - 1):
+        a, b = elems[i] - 1, elems[i + 1] - 1
+        for va, vb, row_y in zip(rows[a], rows[b], rows):
+            if rank[va] > rank[vb] or rank[row_y[a]] > rank[row_y[b]]:
                 return False
     return True
 

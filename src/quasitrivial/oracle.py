@@ -6,8 +6,12 @@ straight from their definitions.  No code is shared with the structural
 enumeration these searches exist to validate.
 
 Quasitrivial tables are encoded as bit vectors: one bit per ordered pair
-(x, y) with x != y, 0 meaning the first argument wins and 1 the second;
-iteration is a plain integer counter over all 2^(n(n-1)) masks.
+(x, y) with x != y, in row-major order, 0 meaning the first argument wins
+and 1 the second.  The associative ones are found depth-first over the
+2^(n(n-1)) masks, most significant bit first, cutting a subtree as soon as
+a triple of distinct elements fails on the cells decided so far; every mask
+is tallied as a visited leaf or inside a cut subtree, and the tally is
+asserted.
 """
 
 from __future__ import annotations
@@ -51,37 +55,84 @@ def _is_associative_flat(table: list[int], n: int, triples) -> bool:
     return True
 
 
+def _triples_by_lowest_bit(n: int, cells) -> list[list[tuple[int, int, int, int]]]:
+    # A triple of distinct elements reads only the 6 cells among its three
+    # elements.  Bits are decided most significant first, so the lowest bit
+    # among those 6 cells is the last of them to be decided: that is where
+    # the triple can first be tested.
+    bit_of = {(x, y): b for b, (_, x, y) in enumerate(cells)}
+    at_bit: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
+    for x, y, z in permutations(range(n), 3):
+        lowest = min(bit_of[p] for p in permutations((x, y, z), 2))
+        at_bit[lowest].append((x * n + y, z, x * n, y * n + z))
+    return at_bit
+
+
+def _associative_quasitrivial_tables(n: int, start: int, stop: int):
+    """Yield every associative quasitrivial table whose mask lies in
+    [start, stop), as one flat list rewritten in place between yields.
+
+    Depth-first over the mask bits, most significant first, so each subtree
+    is one contiguous block of masks; a subtree outside [start, stop) is
+    skipped.  Once a bit is decided, every triple of distinct elements whose
+    6 cells are then all decided is tested, and a failure cuts the subtree,
+    adding its masks inside the range to `cut`.  Each leaf reached still gets the
+    full naive n^3 check, and every mask of the range is accounted for as a
+    visited leaf or a cut one.
+    """
+    # bit b of a mask is cells[b], the b-th row-major off-diagonal pair
+    cells = [(x * n + y, x, y) for x in range(n) for y in range(n) if x != y]
+    at_bit = _triples_by_lowest_bit(n, cells)
+    triples = _triples_distinct_first(n)
+    table = [0] * (n * n)
+    for x in range(n):
+        table[x * n + x] = x
+    visited = 0
+    cut = 0
+    # (free, prefix): the bits above `free` are decided and read `prefix`,
+    # whose lowest bit is bit `free` itself (none at the root, free = len(cells))
+    stack = [(len(cells), 0)]
+    while stack:
+        free, prefix = stack.pop()
+        lo = prefix << free
+        hi = lo + (1 << free)
+        if hi <= start or lo >= stop:
+            continue
+        if free < len(cells):
+            idx, x, y = cells[free]
+            table[idx] = y if prefix & 1 else x
+            if not _is_associative_flat(table, n, at_bit[free]):
+                cut += min(hi, stop) - max(lo, start)
+                continue
+        if free:
+            stack.append((free - 1, 2 * prefix + 1))
+            stack.append((free - 1, 2 * prefix))
+            continue
+        visited += 1
+        if _is_associative_flat(table, n, triples):
+            yield table
+    assert visited + cut == stop - start
+
+
 def brute_count_quasitrivial_associative(
     n: int, shard_index: int = 0, shard_count: int = 1
 ) -> int:
     """Count associative tables among all 2^(n(n-1)) quasitrivial tables.
 
-    Every mask is visited exactly once; the visit count is asserted.
-    Sharding splits the mask range into contiguous blocks.
+    A pruned depth-first search over the mask bits: a subtree is cut as soon
+    as a triple of distinct elements fails on its decided cells, each leaf
+    reached gets the full n^3 check, and `visited + cut` is asserted to
+    equal the shard's mask count.  Sharding splits the mask range into
+    contiguous blocks, and a shard's count is the number of associative
+    tables in its block.
     """
     _check_size(n, QT_SEARCH_MAX_N, "raw quasitrivial search")
     if not 0 <= shard_index < shard_count:
         raise ValueError("need 0 <= shard_index < shard_count")
-    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-    cells = [(x * n + y, x, y) for x, y in pairs]
-    triples = _triples_distinct_first(n)
-    total_masks = 1 << len(pairs)
+    total_masks = 1 << (n * (n - 1))
     start = total_masks * shard_index // shard_count
     stop = total_masks * (shard_index + 1) // shard_count
-
-    table = [0] * (n * n)
-    for x in range(n):
-        table[x * n + x] = x
-    count = 0
-    visited = 0
-    for mask in range(start, stop):
-        for bit, (idx, x, y) in enumerate(cells):
-            table[idx] = y if (mask >> bit) & 1 else x
-        visited += 1
-        if _is_associative_flat(table, n, triples):
-            count += 1
-    assert visited == stop - start
-    return count
+    return sum(1 for _ in _associative_quasitrivial_tables(n, start, stop))
 
 
 def _neutral_exists(table: list[int], n: int) -> bool:
@@ -91,13 +142,17 @@ def _neutral_exists(table: list[int], n: int) -> bool:
     return False
 
 
-def _monotone_natural(table: list[int], n: int) -> bool:
-    # Raw definition: x <= x' and y <= y' imply F(x,y) <= F(x',y').
-    for x in range(n):
-        for xp in range(x, n):
-            for y in range(n):
-                for yp in range(y, n):
-                    if table[x * n + y] > table[xp * n + yp]:
+def _monotone(table: list[int], n: int, listing) -> bool:
+    # Raw definition along the ordering that lists `listing` smallest first:
+    # x <= x' and y <= y' imply F(x,y) <= F(x',y').
+    rank = [0] * n
+    for pos, e in enumerate(listing):
+        rank[e] = pos
+    for i, x in enumerate(listing):
+        for xp in listing[i:]:
+            for j, y in enumerate(listing):
+                for yp in listing[j:]:
+                    if rank[table[x * n + y]] > rank[table[xp * n + yp]]:
                         return False
     return True
 
@@ -130,7 +185,7 @@ def check_neutral_monotone_implies_quasitrivial(n: int) -> tuple[bool, str | Non
             table[x * n + y] = v
         if not _is_associative_flat(table, n, triples):
             continue
-        if not _monotone_natural(table, n):
+        if not _monotone(table, n, range(n)):
             continue
         if not _neutral_exists(table, n):
             continue
@@ -153,7 +208,7 @@ def check_commutative_monotone_implies_associative(n: int) -> tuple[bool, str | 
             v = y if (mask >> bit) & 1 else x
             table[x * n + y] = v
             table[y * n + x] = v
-        if not _monotone_natural(table, n):
+        if not _monotone(table, n, range(n)):
             continue
         if not _is_associative_flat(table, n, triples):
             return False, _format_counterexample(table, n)
@@ -162,16 +217,12 @@ def check_commutative_monotone_implies_associative(n: int) -> tuple[bool, str | 
 
 def brute_count_monotonizable(n: int) -> int:
     """Count associative quasitrivial tables that are monotone for at least
-    one total ordering, by trying every ordering against every table from the
-    structural stream."""
+    one total ordering: every table the raw search finds is tried against
+    every ordering by the two-point definition."""
     _check_size(n, MONOTONIZABLE_MAX_N, "monotonizable count")
-    from .enumeration import qt_semigroups
-    from .magmas import is_order_preserving
-    from .orders import TotalOrder
-
-    orders = [TotalOrder.from_ordered_elements(p) for p in permutations(range(1, n + 1))]
-    count = 0
-    for f in qt_semigroups(n):
-        if any(is_order_preserving(f, t) for t in orders):
-            count += 1
-    return count
+    listings = list(permutations(range(n)))
+    return sum(
+        1
+        for table in _associative_quasitrivial_tables(n, 0, 1 << (n * (n - 1)))
+        if any(_monotone(table, n, listing) for listing in listings)
+    )

@@ -1,6 +1,8 @@
 """Shared fixtures and helpers: the worked-example Cayley tables used across
-the suite, exhaustive table generators, and the plain factorial filter that
-the monotonizing-order search is compared with.
+the suite, exhaustive table generators, and the plain references that the
+pruned searches are compared with: the factorial filter for the
+monotonizing-order search and the exhaustive mask loop for the oracle's raw
+quasitrivial search.
 
 The X4 and X6 tables are transcriptions of known contour-plot examples; each
 fixture's defining properties (associativity, quasitriviality, degrees,
@@ -14,6 +16,7 @@ import pytest
 
 from quasitrivial import FiniteBinOp, TotalOrder, is_order_preserving
 from quasitrivial.formats import parse_cayley
+from quasitrivial.oracle import _is_associative_flat, _triples_distinct_first
 
 
 def all_tables(n):
@@ -48,6 +51,33 @@ def monotonizing_orders_by_filter(f):
         t = TotalOrder.from_ordered_elements(elems)
         if is_order_preserving(f, t):
             yield t
+
+
+def qt_associative_count_by_masks(n, shard_index=0, shard_count=1):
+    """The associative tables among the masks of one shard, every mask
+    decoded and checked in turn (bit b is the b-th row-major off-diagonal
+    pair, 0 meaning the first argument wins)."""
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    cells = [(x * n + y, x, y) for x, y in pairs]
+    triples = _triples_distinct_first(n)
+    total_masks = 1 << len(pairs)
+    start = total_masks * shard_index // shard_count
+    stop = total_masks * (shard_index + 1) // shard_count
+
+    table = [0] * (n * n)
+    for x in range(n):
+        table[x * n + x] = x
+    count = 0
+    visited = 0
+    for mask in range(start, stop):
+        for bit, (idx, x, y) in enumerate(cells):
+            table[idx] = y if (mask >> bit) & 1 else x
+        visited += 1
+        if _is_associative_flat(table, n, triples):
+            count += 1
+    assert visited == stop - start
+    return count
+
 
 # Commutative, associative, quasitrivial, monotone for the natural ordering
 # of X6; equals the maximum under 4 < 5 < 3 < 2 < 6 < 1.

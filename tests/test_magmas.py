@@ -91,6 +91,12 @@ class TestPredicates:
         assert is_associative(f) and is_idempotent(f)
         assert is_quasitrivial(f) and is_commutative(f)
 
+    def test_max_under_equals_larger_cell_by_cell(self):
+        for n in range(1, 7):
+            for p in permutations(range(1, n + 1)):
+                t = TotalOrder.from_ordered_elements(p)
+                assert FiniteBinOp.max_under(t) == FiniteBinOp.from_function(n, t.larger)
+
 
 class TestOrderPreserving:
     def test_x6_example(self, x6_commutative):
@@ -114,6 +120,17 @@ class TestOrderPreserving:
         for f in all_quasitrivial_tables(4):
             t = TotalOrder.natural(4)
             assert is_order_preserving(f, t) == order_preserving_by_definition(f, t)
+        every_order = {
+            n: [TotalOrder.from_ordered_elements(p) for p in permutations(range(1, n + 1))]
+            for n in (1, 2, 3, 4)
+        }
+        for n in (1, 2, 3):
+            for f in all_quasitrivial_tables(n):
+                for t in every_order[n]:
+                    assert is_order_preserving(f, t) == order_preserving_by_definition(f, t)
+        for f in filter(is_associative, all_quasitrivial_tables(4)):
+            for t in every_order[4]:
+                assert is_order_preserving(f, t) == order_preserving_by_definition(f, t)
         rng = random.Random(20240917)
         for _ in range(300):
             n = rng.randint(2, 6)

@@ -10,6 +10,8 @@ from quasitrivial.oracle import (
     check_neutral_monotone_implies_quasitrivial,
 )
 
+from conftest import qt_associative_count_by_masks
+
 
 class TestQuasitrivialSearch:
     def test_small_counts(self):
@@ -18,12 +20,17 @@ class TestQuasitrivialSearch:
         assert brute_count_quasitrivial_associative(3) == 20
         assert brute_count_quasitrivial_associative(4) == 138
 
-    def test_sharding_partitions_the_mask_range(self):
-        total = brute_count_quasitrivial_associative(4)
-        for shards in (2, 5, 8):
-            assert sum(
-                brute_count_quasitrivial_associative(4, i, shards) for i in range(shards)
-            ) == total
+    def test_each_shard_equals_the_mask_loop(self):
+        for n in (1, 2, 3, 4):
+            for shards in (1, 2, 3, 5, 8):
+                for i in range(shards):
+                    assert brute_count_quasitrivial_associative(
+                        n, i, shards
+                    ) == qt_associative_count_by_masks(n, i, shards)
+        for i in (0, 31, 63):
+            assert brute_count_quasitrivial_associative(
+                5, i, 64
+            ) == qt_associative_count_by_masks(5, i, 64)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -57,6 +64,9 @@ class TestImplicationSearches:
 
 
 class TestMonotonizable:
+    def test_small_counts(self):
+        assert [brute_count_monotonizable(n) for n in (1, 2, 3, 4)] == [1, 4, 20, 130]
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             brute_count_monotonizable(5)
