@@ -68,7 +68,7 @@ def _parse_order_flag(payload: str, n: int) -> TotalOrder:
 
 def _cmd_count(args) -> int:
     name, n = args.name, args.n
-    if not (args.all_methods or args.method == "all"):
+    if args.method != "all":
         method, fn = counting.route(name, n, args.method)
         print(f"{name} {n} {fn(n)} {method}")
         return 0
@@ -222,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--method", default=None,
                    help="closed|recurrence|gf|egf|appendix|enumerate|bruteforce|all")
-    p.add_argument("--all-methods", action="store_true",
-                   help="same as --method all")
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("enumerate", help="stream every member of a family")

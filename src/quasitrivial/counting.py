@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import oracle
 from .enumeration import FamilySpec, count
@@ -35,12 +35,6 @@ def _from_zero(fn: Callable[[int], int]) -> Callable[[int], int]:
         return fn(n)
 
     return checked
-
-
-def binomial(n: int, k: int) -> int:
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial needs 0 <= k <= n, got ({n}, {k})")
-    return math.comb(n, k)
 
 
 # Rows 0, 1, ... of the Stirling triangle computed so far; row m holds
@@ -76,67 +70,11 @@ def stirling2_explicit(n: int, k: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """A truncated power series with exact rational coefficients."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        """Number of retained coefficients (degrees 0 .. order-1)."""
-        return len(self.coeffs)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        m = min(self.order, other.order)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs[:m], other.coeffs[:m])))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        m = min(self.order, other.order)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs[:m], other.coeffs[:m])))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        m = min(self.order, other.order)
-        out = [Fraction(0)] * m
-        for i, a in enumerate(self.coeffs[:m]):
-            if a:
-                for j in range(m - i):
-                    out[i + j] += a * other.coeffs[j]
-        return PowerSeries(tuple(out))
-
-    def reciprocal(self) -> "PowerSeries":
-        """Multiplicative inverse up to the truncation order (constant term
-        must be nonzero); solved coefficient by coefficient."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ValueError("series with zero constant term has no reciprocal")
-        inv = [Fraction(1) / a[0]]
-        for m in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, min(m, self.order - 1) + 1):
-                acc += a[i] * inv[m - i]
-            inv.append(-acc / a[0])
-        return PowerSeries(tuple(inv))
-
-
-def _egf_int_coefficient(series: PowerSeries, n: int) -> int:
-    value = series.coeffs[n] * math.factorial(n)
-    if value.denominator != 1:
-        raise ConsistencyError(f"coefficient {n} times n! is not an integer: {value}")
-    return value.numerator
-
-
-def rational_gf_term(numerator: tuple[int, ...], denominator: tuple[int, ...], n: int) -> int:
-    """Coefficient n of numerator/denominator as an ordinary power series.
-
-    Uses the linear recurrence the denominator induces; coefficients are the
-    published ones, exact division asserted at every step.
-    """
+def _series_coefficient(
+    numerator: Sequence[int], denominator: Sequence[int | Fraction], n: int
+) -> Fraction:
+    """Coefficient n of numerator/denominator as a power series, solved
+    coefficient by coefficient from the recurrence the denominator induces."""
     if denominator[0] == 0:
         raise ValueError("denominator needs a nonzero constant term")
     seq: list[Fraction] = []
@@ -145,9 +83,23 @@ def rational_gf_term(numerator: tuple[int, ...], denominator: tuple[int, ...], n
         for j in range(1, min(m, len(denominator) - 1) + 1):
             acc -= denominator[j] * seq[m - j]
         seq.append(acc / denominator[0])
-    value = seq[n]
+    return seq[n]
+
+
+def rational_gf_term(numerator: tuple[int, ...], denominator: tuple[int, ...], n: int) -> int:
+    """Coefficient n of numerator/denominator as an ordinary power series,
+    with the published coefficients; the result is asserted an integer."""
+    value = _series_coefficient(numerator, denominator, n)
     if value.denominator != 1:
         raise ConsistencyError(f"series coefficient {n} is not an integer: {value}")
+    return value.numerator
+
+
+def _egf_term(denominator: list[Fraction], n: int) -> int:
+    """n! times coefficient n of 1/denominator, asserted an integer."""
+    value = _series_coefficient((1,), denominator, n) * math.factorial(n)
+    if value.denominator != 1:
+        raise ConsistencyError(f"coefficient {n} times n! is not an integer: {value}")
     return value.numerator
 
 
@@ -169,16 +121,14 @@ def ordered_bell(n: int) -> int:
     return sum(math.comb(n, k) * ordered_bell(k) for k in range(n))
 
 
-def _series_two_minus_exp(order: int) -> PowerSeries:
-    coeffs = [Fraction(2) - Fraction(1)]
-    coeffs += [Fraction(-1, math.factorial(k)) for k in range(1, order)]
-    return PowerSeries(tuple(coeffs))
+def _series_two_minus_exp(order: int) -> list[Fraction]:
+    return [Fraction(1)] + [Fraction(-1, math.factorial(k)) for k in range(1, order)]
 
 
 @_from_zero
 def ordered_bell_egf(n: int) -> int:
     """p(n) = n! times coefficient n of 1 / (2 - e^z)."""
-    return _egf_int_coefficient(_series_two_minus_exp(n + 1).reciprocal(), n)
+    return _egf_term(_series_two_minus_exp(n + 1), n)
 
 
 # --- q: associative quasitrivial operations ----------------------------------
@@ -214,19 +164,15 @@ def q_recurrence(n: int) -> int:
     return terms[n]
 
 
-def _series_q_denominator(order: int) -> PowerSeries:
-    # z + 3 - 2 e^z, coefficient by coefficient
-    coeffs = [Fraction(1)]
-    if order > 1:
-        coeffs.append(Fraction(-1))
-    coeffs += [Fraction(-2, math.factorial(k)) for k in range(2, order)]
-    return PowerSeries(tuple(coeffs))
+def _series_q_denominator(order: int) -> list[Fraction]:
+    # z + 3 - 2 e^z, coefficient by coefficient (at least through z^1)
+    return [Fraction(1), Fraction(-1)] + [Fraction(-2, math.factorial(k)) for k in range(2, order)]
 
 
 @_from_zero
 def q_egf(n: int) -> int:
     """q(n) = n! times coefficient n of 1 / (z + 3 - 2 e^z)."""
-    return _egf_int_coefficient(_series_q_denominator(n + 1).reciprocal(), n)
+    return _egf_term(_series_q_denominator(n + 1), n)
 
 
 @_from_zero

@@ -22,10 +22,12 @@ from .magmas import (
     neutral_elements,
 )
 from .orders import TotalOrder, WeakOrder, is_single_peaked, is_weakly_single_peaked
+from .structure import LEFT, RIGHT, KimuraDecomposition, fat_ranks, projection_rows
+
 # `build` is no longer called here; it stays in this namespace because the
 # benchmark's tracer self-test (perfbench/selftest.py) patches
 # `enumeration.build`.
-from .structure import LEFT, RIGHT, KimuraDecomposition, build, projection_rows  # noqa: F401
+from .structure import build  # noqa: F401
 
 WEAK_ORDER_MAX_N = 10
 TOTAL_ORDER_MAX_N = 10
@@ -40,16 +42,32 @@ ORDER_FAMILIES = (
 OPERATION_FAMILIES = ("qt-semigroups",)
 FAMILIES = ORDER_FAMILIES + OPERATION_FAMILIES
 
-ORDER_FILTERS = frozenset({"unique-min", "unique-max", "unique-min-and-max-distinct"})
-OPERATION_FILTERS = frozenset(
-    {
-        "neutral",
-        "annihilator",
-        "neutral-and-annihilator-distinct",
-        "commutative",
-        "monotone-for-reference",
-    }
-)
+
+def _unique_min_and_max_distinct(w, reference: TotalOrder | None) -> bool:
+    lo, hi = w.minimal_elements(), w.maximal_elements()
+    return len(lo) == 1 and len(hi) == 1 and lo != hi
+
+
+def _neutral_and_annihilator_distinct(f: FiniteBinOp, reference: TotalOrder | None) -> bool:
+    e, a = neutral_elements(f), annihilator_elements(f)
+    return bool(e) and bool(a) and e.isdisjoint(a)
+
+
+# Each filter name maps to its predicate (object, reference ordering) -> bool.
+# A predicate looks its functions up by name when it is called, so a module
+# global replaced after import (a tracer's wrapper, say) is the one called.
+ORDER_FILTERS = {
+    "unique-min": lambda w, ref: len(w.minimal_elements()) == 1,
+    "unique-max": lambda w, ref: len(w.maximal_elements()) == 1,
+    "unique-min-and-max-distinct": _unique_min_and_max_distinct,
+}
+OPERATION_FILTERS = {
+    "neutral": lambda f, ref: bool(neutral_elements(f)),
+    "annihilator": lambda f, ref: bool(annihilator_elements(f)),
+    "neutral-and-annihilator-distinct": _neutral_and_annihilator_distinct,
+    "commutative": lambda f, ref: is_commutative(f),
+    "monotone-for-reference": lambda f, ref: is_order_preserving(f, ref),
+}
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,7 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         allowed = ORDER_FILTERS if self.family in ORDER_FAMILIES else OPERATION_FILTERS
-        bad = self.filters - allowed
+        bad = self.filters.difference(allowed)
         if bad:
             raise ValueError(f"filters {sorted(bad)} do not apply to {self.family}")
         if self.n < 0:
@@ -137,14 +155,6 @@ def _check_shard(shard_index: int, shard_count: int) -> None:
         raise ValueError("need 0 <= shard_index < shard_count")
 
 
-def _fat_ranks(order: WeakOrder) -> list[int]:
-    """Ranks of the classes of size >= 2, bottom first."""
-    sizes = [0] * (order.k + 1)
-    for r in order.ranks:
-        sizes[r] += 1
-    return [r for r, size in enumerate(sizes) if size >= 2]
-
-
 def _choice_shifts(fat: list[int]) -> dict[int, int]:
     """For choice number `bits` of an ordering with fat classes `fat`, the
     class of rank r is a right projection iff bit ``shifts[r]`` of `bits` is
@@ -164,7 +174,7 @@ def kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
 
 def _kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
     for order in weak_orders(n):
-        shifts = _choice_shifts(_fat_ranks(order))
+        shifts = _choice_shifts(fat_ranks(order))
         for bits in range(1 << len(shifts)):
             choices = tuple(
                 (rank, RIGHT if bits >> shift & 1 else LEFT) for rank, shift in shifts.items()
@@ -190,7 +200,7 @@ def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterato
 def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[FiniteBinOp]:
     start = 0  # stream index of the first table of the current ordering
     for order in weak_orders(n):
-        fat = _fat_ranks(order)
+        fat = fat_ranks(order)
         size = 1 << len(fat)
         first = (shard_index - start) % shard_count
         start += size
@@ -205,28 +215,6 @@ def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[Finit
         ]
         for bits in range(first, size, shard_count):
             yield FiniteBinOp(tuple([pair[bits >> shift & 1] for pair, shift in keyed]))
-
-
-def _passes(obj, name: str, reference: TotalOrder) -> bool:
-    if name == "unique-min":
-        return len(obj.minimal_elements()) == 1
-    if name == "unique-max":
-        return len(obj.maximal_elements()) == 1
-    if name == "unique-min-and-max-distinct":
-        lo, hi = obj.minimal_elements(), obj.maximal_elements()
-        return len(lo) == 1 and len(hi) == 1 and lo != hi
-    if name == "neutral":
-        return bool(neutral_elements(obj))
-    if name == "annihilator":
-        return bool(annihilator_elements(obj))
-    if name == "neutral-and-annihilator-distinct":
-        e, a = neutral_elements(obj), annihilator_elements(obj)
-        return bool(e) and bool(a) and e.isdisjoint(a)
-    if name == "commutative":
-        return is_commutative(obj)
-    if name == "monotone-for-reference":
-        return is_order_preserving(obj, reference)
-    raise ValueError(f"unknown filter {name!r}")
 
 
 def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
@@ -250,8 +238,9 @@ def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
         elif spec.family == "weak-orders":
             orders = weak_orders(n)
         elif spec.family == "single-peaked-total-orders":
-            ref = TotalOrder.natural(n) if n else None
-            orders = (t for t in total_orders(n) if is_single_peaked(ref, t))
+            totals = total_orders(n)
+            ref = TotalOrder.natural(n)
+            orders = (t for t in totals if is_single_peaked(ref, t))
         else:
             if n == 0:
                 raise ValueError("peakedness families need n >= 1")
@@ -261,8 +250,9 @@ def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
     if not spec.filters:
         return base
     reference = TotalOrder.natural(n) if n >= 1 else None
-    filters = sorted(spec.filters)
-    return (obj for obj in base if all(_passes(obj, name, reference) for name in filters))
+    table = ORDER_FILTERS if spec.family in ORDER_FAMILIES else OPERATION_FILTERS
+    tests = [table[name] for name in sorted(spec.filters)]
+    return (obj for obj in base if all(test(obj, reference) for test in tests))
 
 
 def count(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1) -> int:

@@ -60,9 +60,6 @@ class FiniteBinOp:
     def __call__(self, x: int, y: int) -> int:
         return self.rows[x - 1][y - 1]
 
-    def transpose(self) -> "FiniteBinOp":
-        return FiniteBinOp(tuple(zip(*self.rows)))
-
 
 def is_associative(f: FiniteBinOp) -> bool:
     rows = f.rows

@@ -28,6 +28,8 @@ from .magmas import (
 from .orders import TotalOrder, WeakOrder, is_weakly_single_peaked
 
 MONOTONE_SEARCH_MAX_N = 8
+# `classify` lists at most this many monotonizing orderings
+MONOTONE_LIST_LIMIT = 24
 
 LEFT = "left"
 RIGHT = "right"
@@ -47,7 +49,7 @@ class KimuraDecomposition:
     def __post_init__(self):
         choices = tuple((int(r), s) for r, s in self.choices)
         object.__setattr__(self, "choices", choices)
-        big = [r for r, block in enumerate(self.order.classes(), start=1) if len(block) >= 2]
+        big = fat_ranks(self.order)
         if [r for r, _ in choices] != big:
             raise ValueError(f"choices must cover exactly the class ranks {big}")
         for _, side in choices:
@@ -59,39 +61,39 @@ class KimuraDecomposition:
         return cls(order, tuple(sorted(sides.items())))
 
 
-def projection_rows(
-    order: WeakOrder, minimum: bool = False
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def fat_ranks(order: WeakOrder) -> list[int]:
+    """Ranks of the classes of size >= 2, bottom first."""
+    sizes = [0] * (order.k + 1)
+    for r in order.ranks:
+        sizes[r] += 1
+    return [r for r, size in enumerate(sizes) if size >= 2]
+
+
+def projection_rows(order: WeakOrder) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Row x of every table with weak ordering `order`, for each x: the pair
     (row when x's class is a left projection, row when it is a right one).
 
-    Across distinct classes the strictly larger argument wins (the strictly
-    smaller with ``minimum=True``); inside x's class the projection applies.
-    The two rows differ only inside the class, so for a singleton class the
-    pair holds one tuple twice.
+    Across distinct classes the strictly larger argument wins; inside x's
+    class the projection applies.  The two rows differ only inside the class,
+    so for a singleton class the pair holds one tuple twice.
     """
-    # with minimum=True compare negated ranks, so "larger key wins" holds
-    keys = tuple(-r for r in order.ranks) if minimum else order.ranks
-    cells = tuple(enumerate(keys, start=1))
+    ranks = order.ranks
+    cells = tuple(enumerate(ranks, start=1))
     pairs = []
-    for x, kx in cells:
-        left = tuple([y if ky > kx else x for y, ky in cells])
-        if keys.count(kx) == 1:
+    for x, rx in cells:
+        left = tuple([y if ry > rx else x for y, ry in cells])
+        if ranks.count(rx) == 1:
             pairs.append((left, left))
         else:
-            pairs.append((left, tuple([y if ky >= kx else x for y, ky in cells])))
+            pairs.append((left, tuple([y if ry >= rx else x for y, ry in cells])))
     return tuple(pairs)
 
 
-def build(d: KimuraDecomposition, minimum: bool = False) -> FiniteBinOp:
+def build(d: KimuraDecomposition) -> FiniteBinOp:
     """The table of a decomposition: across distinct classes the strictly
-    larger argument wins, inside a class the chosen projection applies.
-
-    With ``minimum=True`` the strictly smaller argument wins instead; applied
-    to the inverse ordering this reproduces the same table.
-    """
+    larger argument wins, inside a class the chosen projection applies."""
     side = dict(d.choices)
-    pairs = projection_rows(d.order, minimum)
+    pairs = projection_rows(d.order)
     return FiniteBinOp(
         tuple(pair[side.get(r) == RIGHT] for pair, r in zip(pairs, d.order.ranks))
     )
@@ -278,15 +280,11 @@ class ClassificationReport(TableProperties):
     monotone_for_truncated: bool
 
 
-def classify(
-    f: FiniteBinOp,
-    reference: TotalOrder | None = None,
-    monotone_limit: int = 24,
-) -> ClassificationReport:
+def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> ClassificationReport:
     """Populate a ClassificationReport against a reference ordering.
 
-    The monotonizing-order list is truncated at `monotone_limit` entries, and
-    skipped entirely (marked truncated) above the search capacity.
+    The monotonizing-order list is truncated at `MONOTONE_LIST_LIMIT` entries,
+    and skipped entirely (marked truncated) above the search capacity.
     """
     n = f.n
     reference = reference or TotalOrder.natural(n)
@@ -302,7 +300,7 @@ def classify(
     truncated = False
     if n <= MONOTONE_SEARCH_MAX_N:
         for t in monotonizing_orders(f):
-            if len(monotone) >= monotone_limit:
+            if len(monotone) >= MONOTONE_LIST_LIMIT:
                 truncated = True
                 break
             monotone.append(t)

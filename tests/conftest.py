@@ -1,8 +1,8 @@
 """Shared fixtures and helpers: the worked-example Cayley tables used across
-the suite, exhaustive table generators, and the plain references that the
-pruned searches are compared with: the factorial filter for the
+the suite, exhaustive table generators, the plain references that the
+pruned searches are compared with (the factorial filter for the
 monotonizing-order search and the exhaustive mask loop for the oracle's raw
-quasitrivial search.
+quasitrivial search), and one session-wide run of each `verify full` check.
 
 The X4 and X6 tables are transcriptions of known contour-plot examples; each
 fixture's defining properties (associativity, quasitriviality, degrees,
@@ -10,11 +10,12 @@ ordering, monotonicity) are asserted in the test modules, so a transcription
 slip cannot pass silently.
 """
 
+import time
 from itertools import permutations, product
 
 import pytest
 
-from quasitrivial import FiniteBinOp, TotalOrder, is_order_preserving
+from quasitrivial import FiniteBinOp, TotalOrder, is_order_preserving, verify
 from quasitrivial.formats import parse_cayley
 from quasitrivial.oracle import _is_associative_flat, _triples_distinct_first
 
@@ -161,3 +162,29 @@ def x4_unpeaked() -> FiniteBinOp:
 def x6_single_peaked_max() -> FiniteBinOp:
     # max under 4 < 3 < 5 < 2 < 1 < 6, the single-peaked showcase ordering
     return FiniteBinOp.max_under(TotalOrder.from_ordered_elements([4, 3, 5, 2, 1, 6]))
+
+
+# The self-check registry as the package defines it, taken before any test
+# can replace an entry.
+FULL_CHECKS = dict(verify.FULL_CHECKS)
+
+
+@pytest.fixture(scope="session")
+def verify_runs():
+    """`verify_runs(name)` is (detail, seconds): what the `verify full` check
+    `name` returned, or the `CheckFailure` it raised, and how long it took.
+    Each check runs on first use, whatever the test order, and never again
+    in the session."""
+    done = {}
+
+    def run(name):
+        if name not in done:
+            start = time.perf_counter()
+            try:
+                detail = FULL_CHECKS[name]()
+            except verify.CheckFailure as exc:
+                detail = exc
+            done[name] = (detail, time.perf_counter() - start)
+        return done[name]
+
+    return run

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Criteria 2 and 5-10 are checks of `verify full`, so their tests run that
-check; the checks that hold no numbered criterion run in `test_verify_check`.
+Criteria 2 and 5-10 are checks of `verify full`, so their tests assert that
+check's one run in the session (the `verify_runs` fixture, whose results the
+pinned `verify` digests in test_cli.py reuse); the checks that hold no
+numbered criterion are asserted in `test_verify_check`.
 Criteria 1, 3 and 4 hold every route of `counting.SEQUENCES` to the pinned
 published tables below.  Exact-integer criteria allow zero tolerance.  Stated
 wall-clock budgets are asserted as hard limits (they hold with an
@@ -70,11 +72,17 @@ def criterion(label, budget_seconds):
     assert elapsed < budget_seconds, f"{label} exceeded {budget_seconds}s budget"
 
 
-def _run_check(name):
+def _run_check(verify_runs, name):
+    """Assert one `verify full` check passed within its budget, from the
+    session's one run of it (shared with the pinned `verify full` digest)."""
     number, budget = VERIFY_CHECKS[name]
     label = f"verify {name}" if number is None else f"criterion {number}: verify {name}"
-    with criterion(label, budget):
-        dict(verify.FULL_CHECKS)[name]()
+    detail, elapsed = verify_runs(name)
+    if isinstance(detail, verify.CheckFailure):
+        print(f"FAIL {label}")
+        raise detail
+    print(f"PASS {label} ({elapsed:.2f}s)")
+    assert elapsed < budget, f"{label} exceeded {budget}s budget"
 
 
 def _table_matches(table):
@@ -92,8 +100,8 @@ def _table_matches(table):
 @pytest.mark.parametrize(
     "name", [name for name, _ in verify.FULL_CHECKS if VERIFY_CHECKS[name][0] is None]
 )
-def test_verify_check(name):
-    _run_check(name)
+def test_verify_check(verify_runs, name):
+    _run_check(verify_runs, name)
 
 
 def test_criterion_01_table_q_all_methods_and_enumeration():
@@ -101,8 +109,8 @@ def test_criterion_01_table_q_all_methods_and_enumeration():
         _table_matches(TABLE_Q)
 
 
-def test_criterion_02_raw_search_counts():
-    _run_check("oracle-counts")
+def test_criterion_02_raw_search_counts(verify_runs):
+    _run_check(verify_runs, "oracle-counts")
 
 
 def test_criterion_03_table_u_all_methods_and_enumeration():
@@ -115,28 +123,28 @@ def test_criterion_04_table_v_all_methods_and_enumeration():
         _table_matches(TABLE_V)
 
 
-def test_criterion_05_factorization_bijection():
-    _run_check("factorization-roundtrip")
+def test_criterion_05_factorization_bijection(verify_runs):
+    _run_check(verify_runs, "factorization-roundtrip")
 
 
-def test_criterion_06_monotone_iff_weakly_single_peaked():
-    _run_check("monotone-equivalence")
+def test_criterion_06_monotone_iff_weakly_single_peaked(verify_runs):
+    _run_check(verify_runs, "monotone-equivalence")
 
 
-def test_criterion_07_pattern_characterization_at_six():
-    _run_check("peakedness-pattern-theorem")
+def test_criterion_07_pattern_characterization_at_six(verify_runs):
+    _run_check(verify_runs, "peakedness-pattern-theorem")
 
 
-def test_criterion_08_theorem_counts():
-    _run_check("theorem-counts")
+def test_criterion_08_theorem_counts(verify_runs):
+    _run_check(verify_runs, "theorem-counts")
 
 
-def test_criterion_09_monotonizable_counts():
-    _run_check("monotonizable-counts")
+def test_criterion_09_monotonizable_counts(verify_runs):
+    _run_check(verify_runs, "monotonizable-counts")
 
 
-def test_criterion_10_implication_searches():
-    _run_check("implication-searches")
+def test_criterion_10_implication_searches(verify_runs):
+    _run_check(verify_runs, "implication-searches")
 
 
 def test_criterion_11_degree_machinery():

@@ -1,0 +1,66 @@
+"""The benchmark's tracer (`perfbench/tracer.py`) against the package.
+
+The tracer wraps package functions by module and name.  These tests fail
+when a change removes or renames one of them, or hides calls from it, so
+`perfbench/run.py --trace 1` cannot break unnoticed.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from quasitrivial import cli, enumeration, structure
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(tracer):
+    for mod_name, attr, kind in tracer.TARGETS:
+        module = importlib.import_module(f"quasitrivial.{mod_name}")
+        assert hasattr(module, attr), f"quasitrivial.{mod_name} has no {attr}"
+        target = getattr(module, attr)
+        assert isinstance(target, type) if kind == "class" else callable(target), attr
+
+
+def test_install_and_uninstall_restore_the_package(tracer):
+    before = (cli.main, structure.build, enumeration.build)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert enumeration.build is not before[2]
+        assert structure.build is not before[1]
+    finally:
+        tr.uninstall()
+    assert (cli.main, structure.build, enumeration.build) == before
+
+
+def test_filter_calls_are_traced(tracer, capsys):
+    # the filters call their predicates through module globals, which the
+    # tracer replaces; a predicate bound at import would be invisible here
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        code = cli.main([
+            "enumerate", "qt-semigroups", "--n", "3", "--filter", "commutative",
+            "--filter", "monotone-for-reference", "--filter", "neutral",
+        ])
+        calls = tracer.reduce(tr.names, tr.take())["names"]
+    finally:
+        tr.uninstall()
+    assert code == 0
+    # the maxima of the 2^(3-1) single-peaked orderings, each with its bottom
+    # element neutral
+    assert capsys.readouterr().out.count("\n") == 4
+    for name in ("magmas.is_commutative", "magmas.is_order_preserving",
+                 "magmas.neutral_elements"):
+        assert calls.get(name, {}).get("calls", 0) > 0, name

@@ -40,10 +40,6 @@ class TestTableType:
         assert x4_peaked(1, 2) == 1
         assert all(x4_peaked(4, x) == 4 for x in range(1, 5))
 
-    def test_transpose(self, x4_peaked):
-        assert x4_peaked.transpose()(3, 1) == 3
-        assert x4_peaked.transpose().transpose() == x4_peaked
-
 
 class TestProjections:
     def test_values(self):

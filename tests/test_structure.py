@@ -73,7 +73,7 @@ class TestBuild:
                 flipped = KimuraDecomposition.make(
                     d.order.inverse(), {k + 1 - r: side for r, side in d.choices}
                 )
-                assert build(flipped, minimum=True) == build(d)
+                assert build_cell_by_cell(flipped, minimum=True) == build(d)
 
 
 def build_cell_by_cell(d, minimum=False):
@@ -94,8 +94,7 @@ class TestProjectionRows:
     def test_build_matches_cell_by_cell_rule(self):
         for n in range(1, 6):
             for d in kimura_decompositions(n):
-                for minimum in (False, True):
-                    assert build(d, minimum) == build_cell_by_cell(d, minimum)
+                assert build(d) == build_cell_by_cell(d)
 
     def test_rows_differ_only_inside_the_class(self):
         order = WeakOrder((2, 1, 2, 3, 1))
@@ -325,8 +324,8 @@ class TestClassify:
 
     def test_monotone_list_truncation(self):
         f = FiniteBinOp.projection(5, "left")  # monotone for all 120 orderings
-        report = classify(f, monotone_limit=10)
-        assert len(report.monotone_for) == 10
+        report = classify(f)
+        assert list(report.monotone_for) == list(monotonizing_orders_by_filter(f))[:24]
         assert report.monotone_for_truncated
 
     def test_report_internal_consistency_sweep(self):
