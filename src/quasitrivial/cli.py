@@ -182,6 +182,9 @@ def _cmd_oracle(args) -> int:
     if name == "qt-associative-count":
         print(oracle.brute_count_quasitrivial_associative(n, args.shard, args.shards))
         return 0
+    # the other checks run whole; a shard of them would repeat the full answer
+    if (args.shards, args.shard) != (1, 0):
+        raise ValueError(f"{name} is not sharded; it accepts only --shards 1 --shard 0")
     if name == "monotonizable-count":
         print(oracle.brute_count_monotonizable(n))
         return 0

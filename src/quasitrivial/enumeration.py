@@ -99,10 +99,21 @@ def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
         return
-    vec = [0] * n
+    last = n - 1
+    vec = [0] * last
     counts = [0] * (n + 1)
 
     def walk(i: int, top: int, missing: int) -> Iterator[tuple[int, ...]]:
+        if i == last:
+            # a viable prefix misses at most one rank: the last position
+            # takes it, or else any rank up to one past the top
+            head = tuple(vec)
+            if missing:
+                yield head + (counts.index(0, 1),)
+            else:
+                for r in range(1, top + 2):
+                    yield head + (r,)
+            return
         slots = n - i - 1
         hi = min(n, top + (n - i) - missing)
         for r in range(1, hi + 1):
@@ -116,10 +127,7 @@ def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
                 continue
             vec[i] = r
             counts[r] += 1
-            if slots == 0:
-                yield tuple(vec)
-            else:
-                yield from walk(i + 1, new_top, gap)
+            yield from walk(i + 1, new_top, gap)
             counts[r] -= 1
 
     yield from walk(0, 0, 0)
@@ -127,18 +135,30 @@ def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
 
 def weak_orders(n: int) -> Iterator[WeakOrder]:
     """All weak orderings of {1..n} in lexicographic rank-vector order."""
+    return _weak_orders(n, 0, 1)
+
+
+def _weak_orders(n: int, shard_index: int, shard_count: int) -> Iterator[WeakOrder]:
+    # the vectors are sliced before any object is made, and made unchecked:
+    # `rank_vectors` yields only surjective ones
     if n > WEAK_ORDER_MAX_N:
         raise CapacityError(f"weak-order enumeration is limited to n <= {WEAK_ORDER_MAX_N}")
-    return (WeakOrder(vec) for vec in rank_vectors(n))
+    vectors = islice(rank_vectors(n), shard_index, None, shard_count)
+    return map(WeakOrder._trusted, vectors)
 
 
 def total_orders(n: int) -> Iterator[TotalOrder]:
     """All total orderings of {1..n} in lexicographic rank-vector order."""
+    return _total_orders(n, 0, 1)
+
+
+def _total_orders(n: int, shard_index: int, shard_count: int) -> Iterator[TotalOrder]:
     if n > TOTAL_ORDER_MAX_N:
         raise CapacityError(f"total-order enumeration is limited to n <= {TOTAL_ORDER_MAX_N}")
     if n == 0:
         raise ValueError("total orders need n >= 1")
-    return (TotalOrder(vec) for vec in permutations(range(1, n + 1)))
+    vectors = islice(permutations(range(1, n + 1)), shard_index, None, shard_count)
+    return (TotalOrder(vec) for vec in vectors)
 
 
 def _check_operation_n(n: int) -> None:
@@ -198,6 +218,8 @@ def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterato
 
 
 def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[FiniteBinOp]:
+    # the rows come from `projection_rows`, so every table is valid as built
+    make = FiniteBinOp._trusted
     start = 0  # stream index of the first table of the current ordering
     for order in weak_orders(n):
         fat = fat_ranks(order)
@@ -214,7 +236,7 @@ def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[Finit
             for pair, r in zip(projection_rows(order), order.ranks)
         ]
         for bits in range(first, size, shard_count):
-            yield FiniteBinOp(tuple([pair[bits >> shift & 1] for pair, shift in keyed]))
+            yield make(tuple([pair[bits >> shift & 1] for pair, shift in keyed]))
 
 
 def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
@@ -223,21 +245,23 @@ def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
     A shard holds the objects of the unfiltered base stream whose index is
     congruent to `shard_index` modulo `shard_count`, filtered afterwards, so
     the union of all shards equals the serial stream regardless of filters.
-    Operation tables are sharded before they are built, so a shard of K
-    builds about 1/K of the tables; the order families are sliced
-    round-robin.  Bad input raises here, before the first object is asked
-    for.
+    Operation tables, weak orderings and total orderings are sharded before
+    they are built, so a shard of K builds about 1/K of them; the peakedness
+    families, whose index counts only the orderings that pass, are sliced
+    after their test.  Bad input raises here, before the first object is
+    asked for.
     """
     _check_shard(shard_index, shard_count)
     n = spec.n
     if spec.family == "qt-semigroups":
         base = qt_semigroups(n, shard_index, shard_count)
+    elif spec.family == "total-orders":
+        base = _total_orders(n, shard_index, shard_count)
+    elif spec.family == "weak-orders":
+        base = _weak_orders(n, shard_index, shard_count)
     else:
-        if spec.family == "total-orders":
-            orders = total_orders(n)
-        elif spec.family == "weak-orders":
-            orders = weak_orders(n)
-        elif spec.family == "single-peaked-total-orders":
+        # a peakedness family is indexed after its filter: built, kept, sliced
+        if spec.family == "single-peaked-total-orders":
             totals = total_orders(n)
             ref = TotalOrder.natural(n)
             orders = (t for t in totals if is_single_peaked(ref, t))

@@ -20,7 +20,7 @@ emitters produce the canonical byte-deterministic form.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from functools import lru_cache
 
 from .errors import ParseError
 from .magmas import FiniteBinOp
@@ -108,11 +108,15 @@ def parse_cayley_line(text: str) -> FiniteBinOp:
     return _cayley_from_tokens(_strip_colon(_tokenize(text), "cayley"))
 
 
+@lru_cache(maxsize=4096)
+def _row_text(row: tuple[int, ...]) -> str:
+    # keyed by value: a stream at n <= 9 has at most n * 2^(n-1) <= 2304
+    # distinct rows, so within one stream each row's text is made once
+    return " ".join(map(str, row))
+
+
 def emit_cayley_line(f: FiniteBinOp) -> str:
-    # n + 1 str() calls per table instead of n^2: entries are 1..n
-    labels = [str(v) for v in range(f.n + 1)]
-    flat = " ".join(map(labels.__getitem__, chain.from_iterable(f.rows)))
-    return f"cayley {f.n} : {flat}"
+    return f"cayley {f.n} : " + " ".join(map(_row_text, f.rows))
 
 
 def load_table(text: str) -> FiniteBinOp:
@@ -133,8 +137,15 @@ def parse_weak_order(text: str) -> WeakOrder:
         raise ParseError(str(exc), tokens[0][1], tokens[0][2]) from None
 
 
+# the text of each small rank, looked up instead of formatted per element
+_LABELS = tuple(map(str, range(64)))
+
+
 def emit_weak_order(w: WeakOrder) -> str:
-    return f"weakorder {w.n} : " + " ".join(map(str, w.ranks))
+    ranks = w.ranks
+    n = len(ranks)
+    text = map(_LABELS.__getitem__ if n < len(_LABELS) else str, ranks)
+    return f"weakorder {n} : " + " ".join(text)
 
 
 def parse_total_order(text: str) -> TotalOrder:

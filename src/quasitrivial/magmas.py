@@ -30,6 +30,15 @@ class FiniteBinOp:
                 raise ValueError("table is not square over 1..n")
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "FiniteBinOp":
+        """The table of `rows` without the check: only for a generator whose
+        rows are tuples of ints in 1..n, n of them, by construction.  Equal
+        to, and hashing like, ``FiniteBinOp(rows)``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "rows", rows)
+        return f
+
+    @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int], int]) -> "FiniteBinOp":
         return cls(tuple(tuple(fn(x, y) for y in range(1, n + 1)) for x in range(1, n + 1)))
 

@@ -28,6 +28,15 @@ class WeakOrder:
         if ranks and (min(ranks) < 1 or len(set(ranks)) != max(ranks)):
             raise ValueError(f"rank vector {ranks} is not surjective onto 1..k")
 
+    @classmethod
+    def _trusted(cls, ranks: tuple[int, ...]) -> "WeakOrder":
+        """The weak ordering of `ranks` without the check: only for a
+        generator whose vectors are tuples of ints surjective onto 1..k by
+        construction.  Equal to, and hashing like, ``WeakOrder(ranks)``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "ranks", ranks)
+        return w
+
     @property
     def n(self) -> int:
         return len(self.ranks)

@@ -10,6 +10,7 @@ inverse bijections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .errors import CapacityError, ConsistencyError, DecompositionError
@@ -69,6 +70,13 @@ def fat_ranks(order: WeakOrder) -> list[int]:
     return [r for r, size in enumerate(sizes) if size >= 2]
 
 
+@lru_cache(maxsize=4096)
+def _projection_row(n: int, x: int, winners: int) -> tuple[int, ...]:
+    # F(x, y) = y for the y whose bit y - 1 is set in `winners`, else x; a
+    # stream at n <= 9 asks for at most n * 2^(n-1) <= 2304 distinct rows
+    return tuple([y if winners >> (y - 1) & 1 else x for y in range(1, n + 1)])
+
+
 def projection_rows(order: WeakOrder) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Row x of every table with weak ordering `order`, for each x: the pair
     (row when x's class is a left projection, row when it is a right one).
@@ -78,14 +86,21 @@ def projection_rows(order: WeakOrder) -> tuple[tuple[tuple[int, ...], tuple[int,
     so for a singleton class the pair holds one tuple twice.
     """
     ranks = order.ranks
-    cells = tuple(enumerate(ranks, start=1))
+    n = len(ranks)
+    # members[r]: the elements of rank r as a bit mask (bit y - 1 for y);
+    # above[r]: the elements of rank > r, which win against rank r
+    members = [0] * (n + 2)
+    for y, r in enumerate(ranks):
+        members[r] |= 1 << y
+    above = [0] * (n + 2)
+    for r in range(n, 0, -1):
+        above[r] = above[r + 1] | members[r + 1]
     pairs = []
-    for x, rx in cells:
-        left = tuple([y if ry > rx else x for y, ry in cells])
-        if ranks.count(rx) == 1:
-            pairs.append((left, left))
-        else:
-            pairs.append((left, tuple([y if ry >= rx else x for y, ry in cells])))
+    for x, rx in enumerate(ranks, start=1):
+        left = _projection_row(n, x, above[rx])
+        # under a right projection the rest of x's class wins as well
+        rest = members[rx] ^ (1 << (x - 1))
+        pairs.append((left, _projection_row(n, x, above[rx] | rest) if rest else left))
     return tuple(pairs)
 
 

@@ -64,3 +64,23 @@ def test_filter_calls_are_traced(tracer, capsys):
     for name in ("magmas.is_commutative", "magmas.is_order_preserving",
                  "magmas.neutral_elements"):
         assert calls.get(name, {}).get("calls", 0) > 0, name
+
+
+@pytest.mark.parametrize(
+    "family,emitter",
+    [("qt-semigroups", "formats.emit_cayley_line"), ("weak-orders", "formats.emit_weak_order")],
+)
+def test_every_emitted_line_is_one_traced_emit(tracer, capsys, family, emitter):
+    # `cli` looks the emitter up by name for each run and calls it once per
+    # object; an emitter bound at import or inlined would hide from a trace
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        code = cli.main(["enumerate", family, "--n", "3"])
+        calls = tracer.reduce(tr.names, tr.take())["names"]
+    finally:
+        tr.uninstall()
+    assert code == 0
+    lines = capsys.readouterr().out.count("\n")
+    assert lines == {"qt-semigroups": 20, "weak-orders": 13}[family]
+    assert calls.get(emitter, {}).get("calls", 0) == lines

@@ -339,6 +339,16 @@ class TestOracle:
         assert code == 2
         assert "capacity" in err
 
+    @pytest.mark.parametrize("check", [c for c in ORACLE_CHECKS if c != "qt-associative-count"])
+    def test_unsharded_check_rejects_a_shard(self, capsys, check):
+        # a shard of a whole-search check would print the full answer, so
+        # the shards would not sum to it
+        code, out, err = run(capsys, "oracle", check, "--n", "3", "--shards", "2", "--shard", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--shards 1 --shard 0" in err
+        code, out, err = run(capsys, "oracle", check, "--n", "2", "--shards", "1", "--shard", "0")
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("check", ORACLE_CHECKS)
     def test_empty_set_is_bad_input_not_capacity(self, capsys, check):
         code, out, err = run(capsys, "oracle", check, "--n", "0")
@@ -411,11 +421,15 @@ class TestDeterminism:
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
-    # the raw 2^20-table search of `count q 5 --method all` takes seconds, so
-    # it runs once, against the stdout SHA-256 of a run at an earlier commit
+    # the raw 2^20-table search of `count q 5 --method all` takes seconds and
+    # `verify quick` repeats checks the acceptance tests run, so each runs
+    # once, against the stdout SHA-256 of a run at an earlier commit (the
+    # quick digest is VERIFY_SHA256["quick"])
     ONE_RUN_SHA256 = {
         ("count", "q", "5", "--method", "all"):
             "36f17686b5cc52bdc4b1a367890511af118b7fc20ca993bd47accc0721ebdea0",
+        ("verify", "quick"):
+            "4bde4926924d33c8ecd815281f5a6c66a1d87dcb361331cf56fb4444f8d63e23",
     }
 
     # stdout SHA-256 of each listing, computed at a commit that built every

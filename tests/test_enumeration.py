@@ -1,11 +1,14 @@
 """Enumeration: stream contents, documented order, filters, sharding, capacity."""
 
+import itertools
 import math
 
 import pytest
 
 from quasitrivial import (
     CapacityError,
+    FiniteBinOp,
+    WeakOrder,
     is_associative,
     is_commutative,
     is_quasitrivial,
@@ -75,6 +78,36 @@ class TestWeakOrderStream:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             weak_orders(11)
+
+
+class TestTrustedConstruction:
+    """The streams build their objects without re-validating them; each
+    must still be the object the validating constructor makes."""
+
+    def test_tables_equal_validated_ones(self):
+        for n in range(1, 7):
+            for f in qt_semigroups(n):
+                checked = FiniteBinOp(f.rows)
+                assert checked == f and hash(checked) == hash(f)
+                assert type(f.rows) is tuple
+                assert all(type(row) is tuple for row in f.rows)
+                assert all(type(v) is int for row in f.rows for v in row)
+
+    def test_weak_orders_equal_validated_ones(self):
+        for n in range(8):
+            for w in weak_orders(n):
+                checked = WeakOrder(w.ranks)
+                assert checked == w and hash(checked) == hash(w)
+                assert type(w.ranks) is tuple and all(type(r) is int for r in w.ranks)
+
+    def test_rank_vectors_match_filtered_product(self):
+        # reference: every vector over 1..n whose values are exactly 1..k
+        for n in range(7):
+            reference = sorted(
+                v for v in itertools.product(range(1, n + 1), repeat=n)
+                if set(v) == set(range(1, max(v, default=0) + 1))
+            )
+            assert list(rank_vectors(n)) == reference
 
 
 class TestTotalOrderStream:
@@ -257,12 +290,18 @@ class TestSharding:
     @pytest.mark.parametrize("shards", [2, 3, 4, 7])
     def test_shard_is_a_slice_of_the_serial_stream(self, filters, shards):
         # shard i holds the unfiltered stream's indices i, i + K, ..., in
-        # order, less what the filters drop
-        base = list(generate(FamilySpec("qt-semigroups", 5)))
-        kept = set(generate(FamilySpec("qt-semigroups", 5, filters)))
-        for i in range(shards):
-            got = list(generate(FamilySpec("qt-semigroups", 5, filters), i, shards))
-            assert got == [f for f in base[i::shards] if f in kept]
+        # order, less what the filters drop; the order families take no
+        # table filter, so they run unfiltered only
+        families = ["qt-semigroups"]
+        if not filters:
+            families += ["weak-orders", "total-orders"]
+        for family in families:
+            spec = FamilySpec(family, 5, filters)
+            base = list(generate(FamilySpec(family, 5)))
+            kept = set(generate(spec))
+            for i in range(shards):
+                got = list(generate(spec, i, shards))
+                assert got == [obj for obj in base[i::shards] if obj in kept]
 
     def test_invalid_shard(self):
         with pytest.raises(ValueError):

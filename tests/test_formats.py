@@ -2,7 +2,8 @@
 
 import pytest
 
-from quasitrivial import ParseError, TotalOrder, WeakOrder, classify
+from quasitrivial import FiniteBinOp, ParseError, TotalOrder, WeakOrder, classify
+from quasitrivial.enumeration import qt_semigroups
 from quasitrivial.formats import (
     emit_cayley,
     emit_cayley_line,
@@ -63,6 +64,23 @@ class TestCayley:
         assert line == "cayley 4 : 1 1 3 4 1 2 3 4 1 3 3 4 4 4 4 4"
         assert parse_cayley_line(line) == f
 
+    def test_line_text_is_keyed_by_row_value(self):
+        # each row's text is made once and kept by value: equal rows held in
+        # distinct tuple objects, and a table emitted once the kept texts
+        # hold other rows, read the same as a cell-by-cell rendering
+        def plain(f):
+            return f"cayley {f.n} : " + " ".join(str(v) for row in f.rows for v in row)
+
+        a = FiniteBinOp(((1, 2, 3), (2, 2, 3), (3, 3, 3)))
+        b = FiniteBinOp((tuple(list(a.rows[0])), (2, 2, 2), tuple(list(a.rows[2]))))
+        assert b.rows[0] == a.rows[0] and b.rows[0] is not a.rows[0]
+        assert [emit_cayley_line(a), emit_cayley_line(b)] == [plain(a), plain(b)]
+        for f in qt_semigroups(5):
+            assert emit_cayley_line(f) == plain(f)
+        wide = FiniteBinOp.from_function(12, lambda x, y: max(x, y))
+        for f in (a, b, wide):
+            assert emit_cayley_line(f) == plain(f)
+
     def test_load_table_dispatches_on_shape(self):
         f = parse_cayley(X4_PEAKED)
         assert load_table(X4_PEAKED) == f
@@ -70,8 +88,6 @@ class TestCayley:
 
     def test_random_tables_roundtrip_both_forms(self):
         import random
-
-        from quasitrivial import FiniteBinOp
 
         rng = random.Random(4140)
         for _ in range(200):
@@ -87,6 +103,11 @@ class TestOrderFormats:
         line = emit_weak_order(w)
         assert line == "weakorder 4 : 2 1 2 3"
         assert parse_weak_order(line) == w
+
+    def test_weak_order_text_at_any_n(self):
+        for ranks in ((1,), (10, 1, 9, 2, 8, 3, 7, 4, 6, 5), tuple(range(70, 0, -1))):
+            expected = f"weakorder {len(ranks)} : " + " ".join(map(str, ranks))
+            assert emit_weak_order(WeakOrder(ranks)) == expected
 
     def test_weak_order_rejects_gappy_ranks(self):
         with pytest.raises(ParseError, match="surjective"):
