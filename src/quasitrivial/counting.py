@@ -3,7 +3,9 @@
 Every sequence with several derivations exposes one function per derivation
 (`q_closed`, `q_recurrence`, `q_egf`, `q_appendix`, ...); the derivations are
 independent code paths and the test suite requires them to agree exactly.
-All arithmetic is exact (int / Fraction); nothing here rounds.
+All arithmetic is exact and nothing here rounds.  Power series are divided in
+integers scaled by a caller-given factor (n! for an egf), and every division
+is asserted exact.
 
 `SEQUENCES` is the one place that lists a sequence's routes: its derivations,
 its direct enumeration, its brute-force search, the first index of each, and
@@ -16,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
-from typing import Callable, Sequence
+from functools import wraps
+from typing import Callable
 
 from . import oracle
 from .enumeration import FamilySpec, count
@@ -51,6 +53,12 @@ def _stirling2(n: int, k: int) -> int:
     return rows[n][k]
 
 
+def _stirling2_rows(n: int) -> list[list[int]]:
+    """Rows 0..n (at least) of the Stirling triangle."""
+    _stirling2(n, 0)
+    return _STIRLING2_ROWS
+
+
 def stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into k nonempty blocks, by the standard
     recurrence."""
@@ -71,36 +79,49 @@ def stirling2_explicit(n: int, k: int) -> int:
 
 
 def _series_coefficient(
-    numerator: Sequence[int], denominator: Sequence[int | Fraction], n: int
-) -> Fraction:
-    """Coefficient n of numerator/denominator as a power series, solved
-    coefficient by coefficient from the recurrence the denominator induces."""
+    numerator: tuple[int, ...], denominator: tuple[int, ...] | list[Fraction], n: int, scale: int
+) -> int:
+    """`scale` times coefficient n of numerator/denominator as a power series,
+    solved coefficient by coefficient from the recurrence the denominator
+    induces.
+
+    The work is in integers: the denominator is brought over the common
+    denominator of its coefficients, and every scaled coefficient up to n must
+    be an integer; a division that leaves a remainder raises ConsistencyError.
+    """
     if denominator[0] == 0:
         raise ValueError("denominator needs a nonzero constant term")
-    seq: list[Fraction] = []
+    common = math.lcm(*(Fraction(d).denominator for d in denominator))
+    d0, *rest = [int(d * common) for d in denominator]
+    top = scale * common
+    seq: list[int] = []
     for m in range(n + 1):
-        acc = Fraction(numerator[m] if m < len(numerator) else 0)
-        for j in range(1, min(m, len(denominator) - 1) + 1):
-            acc -= denominator[j] * seq[m - j]
-        seq.append(acc / denominator[0])
+        acc = top * numerator[m] if m < len(numerator) else 0
+        acc -= sum(d * c for d, c in zip(rest, reversed(seq)))
+        value, remainder = divmod(acc, d0)
+        if remainder:
+            raise ConsistencyError(f"coefficient {m} times {scale} is not an integer")
+        seq.append(value)
     return seq[n]
 
 
 def rational_gf_term(numerator: tuple[int, ...], denominator: tuple[int, ...], n: int) -> int:
     """Coefficient n of numerator/denominator as an ordinary power series,
     with the published coefficients; the result is asserted an integer."""
-    value = _series_coefficient(numerator, denominator, n)
-    if value.denominator != 1:
-        raise ConsistencyError(f"series coefficient {n} is not an integer: {value}")
-    return value.numerator
+    return _series_coefficient(numerator, denominator, n, 1)
 
 
 def _egf_term(denominator: list[Fraction], n: int) -> int:
     """n! times coefficient n of 1/denominator, asserted an integer."""
-    value = _series_coefficient((1,), denominator, n) * math.factorial(n)
-    if value.denominator != 1:
-        raise ConsistencyError(f"coefficient {n} times n! is not an integer: {value}")
-    return value.numerator
+    return _series_coefficient((1,), denominator, n, math.factorial(n))
+
+
+def _binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n), each from the last by a running product."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
 
 
 # --- ordered Bell numbers: weak orderings / ordered partitions ---------------
@@ -113,12 +134,14 @@ def ordered_bell_formula(n: int) -> int:
 
 
 @_from_zero
-@lru_cache(maxsize=None)
 def ordered_bell(n: int) -> int:
-    """p(n) by the binomial recurrence, p(0) = 1."""
-    if n == 0:
-        return 1
-    return sum(math.comb(n, k) * ordered_bell(k) for k in range(n))
+    """p(n) by the binomial recurrence p(m) = sum_{k<m} C(m,k) p(k), p(0) = 1,
+    with each row of Pascal's triangle added up from the last."""
+    terms, row = [1], [1]
+    for _ in range(n):
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+        terms.append(sum(c * t for c, t in zip(row, terms)))
+    return terms[n]
 
 
 def _series_two_minus_exp(order: int) -> list[Fraction]:
@@ -138,29 +161,35 @@ def ordered_bell_egf(n: int) -> int:
 def q_closed(n: int) -> int:
     """The double-sum closed form
     q(n) = sum_i 2^i sum_k (-1)^k C(n,k) S(n-k,i) (i+k)!."""
+    signed = [(-1) ** k * c for k, c in enumerate(_binomial_row(n))]
+    factorial = [math.factorial(k) for k in range(n + 1)]
+    stirling = _stirling2_rows(n)
     total = 0
     for i in range(n + 1):
         inner = 0
         for k in range(n - i + 1):
-            inner += (-1) ** k * math.comb(n, k) * stirling2(n - k, i) * math.factorial(i + k)
-        total += 2**i * inner
+            inner += signed[k] * stirling[n - k][i] * factorial[i + k]
+        total += inner << i
     return total if n else 1
 
 
 # q(0), q(1), ... computed so far by `q_recurrence`; q_neutral and q_both
-# reuse them.
+# reuse them.  _Q_PASCAL is row len(_Q_TERMS) of Pascal's triangle, the
+# binomials C(m+1, k) of the step that appends q(m+1).
 _Q_TERMS: list[int] = [1]
+_Q_PASCAL: list[int] = [1, 1]
 
 
 @_from_zero
 def q_recurrence(n: int) -> int:
     """q(n+1) = (n+1) q(n) + 2 sum_{k<n} C(n+1,k) q(k), q(0) = 1."""
-    terms = _Q_TERMS
+    terms, row = _Q_TERMS, _Q_PASCAL
     while len(terms) <= n:
         m = len(terms) - 1
-        terms.append(
-            (m + 1) * terms[m] + 2 * sum(math.comb(m + 1, k) * terms[k] for k in range(m))
-        )
+        value = (m + 1) * terms[m] + 2 * sum(c * t for c, t in zip(row, terms[:m]))
+        next_row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+        terms.append(value)
+        row[:] = next_row
     return terms[n]
 
 
@@ -181,12 +210,15 @@ def q_appendix(n: int) -> int:
     q(n) = sum_i (-2)^i sum_{k>=i} (-1)^k C(n,k-i) S(n-k+i,i) k!."""
     if n == 0:
         return 1
+    binomial = _binomial_row(n)
+    signed_factorial = [(-1) ** k * math.factorial(k) for k in range(n + 1)]
+    stirling = _stirling2_rows(n)
     total = 0
     for i in range(n + 1):
         inner = 0
         for k in range(i, n + 1):
-            inner += (-1) ** k * math.comb(n, k - i) * stirling2(n - k + i, i) * math.factorial(k)
-        total += (-2) ** i * inner
+            inner += signed_factorial[k] * binomial[k - i] * stirling[n - k + i][i]
+        total += (-1) ** i * (inner << i)
     return total
 
 
@@ -242,7 +274,7 @@ def u_recurrence(n: int) -> int:
 def u_closed(n: int) -> int:
     """2u(n) + 1 = sum_k C(n+1, 2k) 2^k (the integer form of the radical
     expression)."""
-    total = sum(math.comb(n + 1, 2 * k) * 2**k for k in range(n // 2 + 2))
+    total = sum(c << k for k, c in enumerate(_binomial_row(n + 1)[::2]))
     return _exact_shifted_div(total, 1, 2, "u closed form")
 
 
@@ -260,7 +292,7 @@ def u_e_recurrence(n: int) -> int:
 @_from_zero
 def u_e_closed(n: int) -> int:
     """u_e(n) = sum_k C(n, 2k+1) 2^k."""
-    return sum(math.comb(n, 2 * k + 1) * 2**k for k in range((n + 1) // 2))
+    return sum(c << k for k, c in enumerate(_binomial_row(n)[1::2]))
 
 
 @_from_zero
@@ -292,10 +324,11 @@ def v_recurrence(n: int) -> int:
 @_from_zero
 def v_closed(n: int) -> int:
     """3v(n) + 2 = sum_k 3^k (2 C(n,2k) + 3 C(n,2k+1))."""
-    total = sum(
-        3**k * (2 * math.comb(n, 2 * k) + 3 * math.comb(n, 2 * k + 1))
-        for k in range(n // 2 + 1)
-    )
+    row = _binomial_row(n)
+    total, power = 0, 1
+    for even, odd in zip(row[::2], row[1::2] + [0]):
+        total += power * (2 * even + 3 * odd)
+        power *= 3
     return _exact_shifted_div(total, 2, 3, "v closed form")
 
 
@@ -313,7 +346,11 @@ def v_e_recurrence(n: int) -> int:
 @_from_zero
 def v_e_closed(n: int) -> int:
     """v_e(n) = sum_k C(n, 2k+1) 3^k."""
-    return sum(math.comb(n, 2 * k + 1) * 3**k for k in range((n + 1) // 2))
+    total, power = 0, 1
+    for odd in _binomial_row(n)[1::2]:
+        total += power * odd
+        power *= 3
+    return total
 
 
 @_from_zero

@@ -53,13 +53,14 @@ class FiniteBinOp:
 
     @classmethod
     def max_under(cls, t: TotalOrder) -> "FiniteBinOp":
-        """The commutative maximum operation of a total ordering."""
+        """The commutative maximum operation of a total ordering.  `t` is
+        validated and every cell is x or y, so the table is built unchecked."""
         ranks = t.ranks
-        return cls(
-            tuple(
-                tuple(x if rx >= ry else y for y, ry in enumerate(ranks, start=1))
+        return cls._trusted(
+            tuple([
+                tuple([x if rx >= ry else y for y, ry in enumerate(ranks, start=1)])
                 for x, rx in enumerate(ranks, start=1)
-            )
+            ])
         )
 
     @property

@@ -1,8 +1,9 @@
 """Shared fixtures and helpers: the worked-example Cayley tables used across
 the suite, exhaustive table generators, the plain references that the
 pruned searches are compared with (the factorial filter for the
-monotonizing-order search and the exhaustive mask loop for the oracle's raw
-quasitrivial search), and one session-wide run of each `verify full` check.
+monotonizing-order search, the exhaustive mask loop for the oracle's raw
+quasitrivial search, and the `Fraction` series division for the scaled-integer
+one), and one session-wide run of each `verify full` check.
 
 The X4 and X6 tables are transcriptions of known contour-plot examples; each
 fixture's defining properties (associativity, quasitriviality, degrees,
@@ -11,6 +12,7 @@ slip cannot pass silently.
 """
 
 import time
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -78,6 +80,21 @@ def qt_associative_count_by_masks(n, shard_index=0, shard_count=1):
             count += 1
     assert visited == stop - start
     return count
+
+
+def series_coefficient_by_fractions(numerator, denominator, n):
+    """Coefficient n of numerator/denominator as a power series, every
+    coefficient solved in turn as a `Fraction` from the recurrence the
+    denominator induces."""
+    if denominator[0] == 0:
+        raise ValueError("denominator needs a nonzero constant term")
+    seq = []
+    for m in range(n + 1):
+        acc = Fraction(numerator[m] if m < len(numerator) else 0)
+        for j in range(1, min(m, len(denominator) - 1) + 1):
+            acc -= denominator[j] * seq[m - j]
+        seq.append(acc / denominator[0])
+    return seq[n]
 
 
 # Commutative, associative, quasitrivial, monotone for the natural ordering

@@ -75,6 +75,24 @@ class TestCount:
         assert code == 2
         assert "capacity" in err
 
+    def test_values_past_the_int_to_str_limit_print(self, capsys):
+        # v(10000) has 4365 digits, past the 4300 Python >= 3.11 converts by
+        # default; the CLI lifts that limit for its run and puts it back
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, err = run(capsys, "count", "v", "10000", "--method", "recurrence")
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        name, n, digits, method = out.split()
+        assert (name, n, method) == ("v", "10000", "recurrence")
+        assert len(digits) == 4365
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert digits == str(counting.v_gf(10000))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize("name", list(counting.SEQUENCES))
     def test_below_domain_rejected(self, capsys, name):
         below = counting.SEQUENCES[name].start - 1

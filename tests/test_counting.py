@@ -8,6 +8,8 @@ import pytest
 from quasitrivial import CapacityError, ConsistencyError
 from quasitrivial import counting as C
 
+from conftest import series_coefficient_by_fractions
+
 # Published reference rows for n = 0..6 (cf. the OEIS ids in C.SEQUENCES).
 TABLE_Q = {
     "q": [1, 1, 4, 20, 138, 1182, 12166],
@@ -72,28 +74,46 @@ class TestBasics:
 
 class TestPowerSeries:
     """`_series_coefficient`, the one series division behind every gf and egf
-    derivation: the quotient convolved with the denominator gives back the
-    numerator."""
+    derivation, works in integers scaled by `scale`: the quotient convolved
+    with the denominator gives back scale times the numerator."""
 
     @staticmethod
-    def convolved(numerator, denominator, order):
-        quotient = [C._series_coefficient(numerator, denominator, m) for m in range(order)]
+    def convolved(numerator, denominator, order, scale):
+        quotient = [C._series_coefficient(numerator, denominator, m, scale) for m in range(order)]
+        assert quotient == [
+            scale * series_coefficient_by_fractions(numerator, denominator, m) for m in range(order)
+        ]
         return [
             sum(denominator[j] * quotient[m - j] for j in range(min(m + 1, len(denominator))))
             for m in range(order)
         ]
 
     def test_reciprocal_multiplies_to_one(self):
+        # coefficient m of the reciprocal has a power of 2 up to 2^(m+1) below it
         denominator = [Fraction(v) for v in (2, -1, 3, 5, -7, 11)]
-        assert self.convolved((1,), denominator, 8) == [1] + [0] * 7
-        # a numerator longer than the denominator, over rational coefficients
+        assert self.convolved((1,), denominator, 8, 2**8) == [2**8] + [0] * 7
+        # a numerator longer than the denominator, over rational coefficients:
+        # 1/(1/3 + 2z/7) = 3 sum (-6z/7)^m, so 7^8 clears every coefficient
         numerator = (3, 0, -4, 1, 9, 2, -5)
-        expected = list(numerator) + [0]
-        assert self.convolved(numerator, [Fraction(1, 3), Fraction(2, 7)], 8) == expected
+        expected = [7**8 * v for v in numerator] + [0]
+        assert self.convolved(numerator, [Fraction(1, 3), Fraction(2, 7)], 8, 7**8) == expected
+
+    def test_too_small_scale_is_an_inconsistency(self):
+        denominator = [Fraction(v) for v in (2, -1, 3, 5, -7, 11)]
+        assert (2**5 * series_coefficient_by_fractions((1,), denominator, 5)).denominator != 1
+        with pytest.raises(ConsistencyError):
+            C._series_coefficient((1,), denominator, 5, 2**5)
+
+    def test_egf_scale_makes_every_coefficient_whole(self):
+        # n! clears every coefficient through z^n of 1/(z + 3 - 2e^z)
+        for n in range(12):
+            denominator = C._series_q_denominator(n + 1)
+            reference = series_coefficient_by_fractions((1,), denominator, n)
+            assert C._egf_term(denominator, n) == reference * math.factorial(n) == C.q_recurrence(n)
 
     def test_reciprocal_needs_unit_constant_term(self):
         with pytest.raises(ValueError):
-            C._series_coefficient((1,), (Fraction(0), Fraction(1)), 3)
+            C._series_coefficient((1,), (Fraction(0), Fraction(1)), 3, 1)
 
 
 class TestOrderedBell:
@@ -107,6 +127,16 @@ class TestOrderedBell:
             assert C.ordered_bell(n) == C.ordered_bell_formula(n) == C.ordered_bell_egf(n)
 
 
+def q_terms_by_pascal_rows(n):
+    """q(0..n) by q(m) = 2 sum_{k<m} C(m,k) q(k) - m q(m-1), each row of
+    Pascal's triangle added up from the last."""
+    terms, row = [1], [1]
+    for m in range(1, n + 1):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        terms.append(2 * sum(c * t for c, t in zip(row, terms)) - m * terms[-1])
+    return terms
+
+
 class TestQ:
     @pytest.mark.parametrize("method", ["q_closed", "q_recurrence", "q_egf", "q_appendix"])
     def test_table_row(self, method):
@@ -117,18 +147,27 @@ class TestQ:
         assert C.q_closed(0) == C.q_recurrence(0) == C.q_egf(0) == C.q_appendix(0) == 1
 
     def test_methods_agree_far_out(self):
-        for n in (7, 10, 30):
+        for n in (7, 10, 30, 200):
             values = {C.q_closed(n), C.q_recurrence(n), C.q_egf(n), C.q_appendix(n)}
             assert len(values) == 1
 
     def test_recurrence_deep_index(self):
-        # past the stack limit, against q(n) = 2 sum_{k<n} C(n,k) q(k) - n q(n-1)
-        terms = [1]
-        for n in range(1, 601):
-            terms.append(2 * sum(math.comb(n, k) * terms[k] for k in range(n)) - n * terms[-1])
-        assert C.q_recurrence(600) == terms[600]
+        # past the stack limit, against a reference recurrence of its own
+        assert C.q_recurrence(600) == q_terms_by_pascal_rows(600)[600]
         with pytest.raises(ValueError):
             C.q_recurrence(-1)
+
+    def test_recurrence_keeps_its_pascal_row(self, monkeypatch):
+        # asked out of order, the kept terms grow only forward, and the kept
+        # row is always row m of Pascal's triangle for the m terms kept
+        monkeypatch.setattr(C, "_Q_TERMS", [1])
+        monkeypatch.setattr(C, "_Q_PASCAL", [1, 1])
+        reference = q_terms_by_pascal_rows(120)
+        for n in (50, 10, 120):
+            assert C.q_recurrence(n) == reference[n]
+            m = len(C._Q_TERMS)
+            assert m == max(n, 50) + 1
+            assert C._Q_PASCAL == [math.comb(m, k) for k in range(m + 1)]
 
     def test_derived_families(self):
         assert [C.q_neutral(n) for n in range(7)] == TABLE_Q["q_e"]

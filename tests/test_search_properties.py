@@ -1,16 +1,23 @@
-"""Property tests of the pruned searches and the order-preservation kernel
-against their plain references."""
+"""Property tests of the pruned searches, the order-preservation kernel and
+the scaled-integer series division against their plain references."""
 
+import math
+from fractions import Fraction
 from itertools import islice
 
 import pytest
 
-from quasitrivial import FiniteBinOp, TotalOrder, is_order_preserving
+from quasitrivial import ConsistencyError, FiniteBinOp, TotalOrder, is_order_preserving
+from quasitrivial.counting import _series_coefficient
 from quasitrivial.magmas import order_preserving_by_definition
 from quasitrivial.oracle import brute_count_quasitrivial_associative
 from quasitrivial.structure import monotonizing_orders
 
-from conftest import monotonizing_orders_by_filter, qt_associative_count_by_masks
+from conftest import (
+    monotonizing_orders_by_filter,
+    qt_associative_count_by_masks,
+    series_coefficient_by_fractions,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -65,3 +72,30 @@ def shards(draw):
 @hypothesis.given(shards())
 def test_shard_count_equals_mask_loop(shard):
     assert brute_count_quasitrivial_associative(*shard) == qt_associative_count_by_masks(*shard)
+
+
+@st.composite
+def series_quotients(draw):
+    # small rational denominators with a nonzero constant term, and an index
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    denominator = draw(st.lists(small, min_size=1, max_size=5))
+    if denominator[0] == 0:
+        denominator[0] = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), draw(st.integers(1, 5)))
+    numerator = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+    return numerator, denominator, draw(st.integers(0, 8))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(series_quotients(), st.integers(1, 6))
+def test_scaled_series_equals_fraction_reference(case, extra):
+    numerator, denominator, n = case
+    reference = [series_coefficient_by_fractions(numerator, denominator, m) for m in range(n + 1)]
+    # the least scale that makes every coefficient through z^n whole, times extra
+    least = math.lcm(*(c.denominator for c in reference))
+    assert _series_coefficient(numerator, denominator, n, extra * least) == (
+        extra * least * reference[n]
+    )
+    if least > 1:
+        # coprime to the least scale, so some coefficient stays fractional
+        with pytest.raises(ConsistencyError):
+            _series_coefficient(numerator, denominator, n, extra * least - 1)
