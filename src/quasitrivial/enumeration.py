@@ -3,8 +3,10 @@
 Generation order is part of the contract: weak orderings stream in
 lexicographic rank-vector order; the projection choices of an operation
 stream by binary counting (left before right, the bottom-most fat class
-being the most significant digit).  Streams are plain generators, restartable
-by calling the function again.
+being the most significant digit).  Each family is one stream function
+`(n, shard_index=0, shard_count=1)`, listed with its filters in `FAMILIES`,
+restartable by calling it again.  It checks its input when called, in this
+order: n < 0, the shard, the size cap, then n = 0 for an empty family.
 """
 
 from __future__ import annotations
@@ -32,15 +34,6 @@ from .structure import build  # noqa: F401
 WEAK_ORDER_MAX_N = 10
 TOTAL_ORDER_MAX_N = 10
 QT_SEMIGROUP_MAX_N = 9
-
-ORDER_FAMILIES = (
-    "total-orders",
-    "weak-orders",
-    "single-peaked-total-orders",
-    "weakly-single-peaked-weak-orders",
-)
-OPERATION_FAMILIES = ("qt-semigroups",)
-FAMILIES = ORDER_FAMILIES + OPERATION_FAMILIES
 
 
 def _unique_min_and_max_distinct(w, reference: TotalOrder | None) -> bool:
@@ -70,24 +63,11 @@ OPERATION_FILTERS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Names one of the enumerable populations, plus optional filters."""
-
-    family: str
-    n: int
-    filters: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "filters", frozenset(self.filters))
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        allowed = ORDER_FILTERS if self.family in ORDER_FAMILIES else OPERATION_FILTERS
-        bad = self.filters.difference(allowed)
-        if bad:
-            raise ValueError(f"filters {sorted(bad)} do not apply to {self.family}")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+def _check(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if not 0 <= shard_index < shard_count:
+        raise ValueError("need 0 <= shard_index < shard_count")
 
 
 def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
@@ -96,6 +76,7 @@ def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
     A prefix is viable iff the ranks skipped so far can still be filled by
     the remaining positions; the search never expands a dead prefix.
     """
+    _check(n)
     if n == 0:
         yield ()
         return
@@ -133,26 +114,20 @@ def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
     yield from walk(0, 0, 0)
 
 
-def weak_orders(n: int) -> Iterator[WeakOrder]:
+def weak_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[WeakOrder]:
     """All weak orderings of {1..n} in lexicographic rank-vector order."""
-    return _weak_orders(n, 0, 1)
-
-
-def _weak_orders(n: int, shard_index: int, shard_count: int) -> Iterator[WeakOrder]:
-    # the vectors are sliced before any object is made, and made unchecked:
-    # `rank_vectors` yields only surjective ones
+    _check(n, shard_index, shard_count)
     if n > WEAK_ORDER_MAX_N:
         raise CapacityError(f"weak-order enumeration is limited to n <= {WEAK_ORDER_MAX_N}")
+    # the vectors are sliced before any object is made, and made unchecked:
+    # `rank_vectors` yields only surjective ones
     vectors = islice(rank_vectors(n), shard_index, None, shard_count)
     return map(WeakOrder._trusted, vectors)
 
 
-def total_orders(n: int) -> Iterator[TotalOrder]:
+def total_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[TotalOrder]:
     """All total orderings of {1..n} in lexicographic rank-vector order."""
-    return _total_orders(n, 0, 1)
-
-
-def _total_orders(n: int, shard_index: int, shard_count: int) -> Iterator[TotalOrder]:
+    _check(n, shard_index, shard_count)
     if n > TOTAL_ORDER_MAX_N:
         raise CapacityError(f"total-order enumeration is limited to n <= {TOTAL_ORDER_MAX_N}")
     if n == 0:
@@ -161,18 +136,34 @@ def _total_orders(n: int, shard_index: int, shard_count: int) -> Iterator[TotalO
     return (TotalOrder(vec) for vec in vectors)
 
 
-def _check_operation_n(n: int) -> None:
+# A peakedness family is indexed after its test: every ordering is built and
+# tested, and what passes is sliced.
+def _single_peaked_total_orders(n: int, shard_index: int = 0, shard_count: int = 1):
+    _check(n, shard_index, shard_count)
+    orders = total_orders(n)
+    ref = TotalOrder.natural(n)
+    kept = (t for t in orders if is_single_peaked(ref, t))
+    return islice(kept, shard_index, None, shard_count)
+
+
+def _weakly_single_peaked_weak_orders(n: int, shard_index: int = 0, shard_count: int = 1):
+    _check(n, shard_index, shard_count)
+    orders = weak_orders(n)
+    if n == 0:
+        raise ValueError("peakedness families need n >= 1")
+    ref = TotalOrder.natural(n)
+    kept = (w for w in orders if is_weakly_single_peaked(ref, w))
+    return islice(kept, shard_index, None, shard_count)
+
+
+def _check_operation_n(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
+    _check(n, shard_index, shard_count)
     if n > QT_SEMIGROUP_MAX_N:
         raise CapacityError(
             f"operation enumeration is limited to n <= {QT_SEMIGROUP_MAX_N}"
         )
     if n == 0:
         raise ValueError("operation enumeration needs n >= 1")
-
-
-def _check_shard(shard_index: int, shard_count: int) -> None:
-    if not 0 <= shard_index < shard_count:
-        raise ValueError("need 0 <= shard_index < shard_count")
 
 
 def _choice_shifts(fat: list[int]) -> dict[int, int]:
@@ -212,8 +203,7 @@ def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterato
     ordering hold stream indices [i, i + 2^m), m its number of fat classes;
     an ordering whose block holds none of the shard's indices is skipped.
     """
-    _check_operation_n(n)
-    _check_shard(shard_index, shard_count)
+    _check_operation_n(n, shard_index, shard_count)
     return _qt_semigroups(n, shard_index, shard_count)
 
 
@@ -239,42 +229,52 @@ def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[Finit
             yield make(tuple([pair[bits >> shift & 1] for pair, shift in keyed]))
 
 
+# Each family's stream and the filters that apply to its objects; `FamilySpec`,
+# `generate` and the command line's family choices all read this table.
+FAMILIES = {
+    "total-orders": (total_orders, ORDER_FILTERS),
+    "weak-orders": (weak_orders, ORDER_FILTERS),
+    "single-peaked-total-orders": (_single_peaked_total_orders, ORDER_FILTERS),
+    "weakly-single-peaked-weak-orders": (_weakly_single_peaked_weak_orders, ORDER_FILTERS),
+    "qt-semigroups": (qt_semigroups, OPERATION_FILTERS),
+}
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Names one of the enumerable populations, plus optional filters."""
+
+    family: str
+    n: int
+    filters: frozenset[str] = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        object.__setattr__(self, "filters", frozenset(self.filters))
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        bad = self.filters.difference(FAMILIES[self.family][1])
+        if bad:
+            raise ValueError(f"filters {sorted(bad)} do not apply to {self.family}")
+
+
 def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
     """Stream the family named by `spec`, each qualifying object exactly once.
 
-    A shard holds the objects of the unfiltered base stream whose index is
-    congruent to `shard_index` modulo `shard_count`, filtered afterwards, so
-    the union of all shards equals the serial stream regardless of filters.
-    Operation tables, weak orderings and total orderings are sharded before
-    they are built, so a shard of K builds about 1/K of them; the peakedness
-    families, whose index counts only the orderings that pass, are sliced
-    after their test.  Bad input raises here, before the first object is
-    asked for.
+    The base stream is the family's row in `FAMILIES`.  A shard holds the
+    objects of that unfiltered stream whose index is congruent to
+    `shard_index` modulo `shard_count`, filtered afterwards, so the union of
+    all shards equals the serial stream regardless of filters.  Operation
+    tables, weak orderings and total orderings are sharded before they are
+    built, so a shard of K builds about 1/K of them; the peakedness families,
+    whose index counts only the orderings that pass, are sliced after their
+    test.  The stream checks its input when called, so bad input raises here,
+    before the first object is asked for.
     """
-    _check_shard(shard_index, shard_count)
-    n = spec.n
-    if spec.family == "qt-semigroups":
-        base = qt_semigroups(n, shard_index, shard_count)
-    elif spec.family == "total-orders":
-        base = _total_orders(n, shard_index, shard_count)
-    elif spec.family == "weak-orders":
-        base = _weak_orders(n, shard_index, shard_count)
-    else:
-        # a peakedness family is indexed after its filter: built, kept, sliced
-        if spec.family == "single-peaked-total-orders":
-            totals = total_orders(n)
-            ref = TotalOrder.natural(n)
-            orders = (t for t in totals if is_single_peaked(ref, t))
-        else:
-            if n == 0:
-                raise ValueError("peakedness families need n >= 1")
-            ref = TotalOrder.natural(n)
-            orders = (w for w in weak_orders(n) if is_weakly_single_peaked(ref, w))
-        base = islice(orders, shard_index, None, shard_count)
+    stream, table = FAMILIES[spec.family]
+    base = stream(spec.n, shard_index, shard_count)
     if not spec.filters:
         return base
-    reference = TotalOrder.natural(n) if n >= 1 else None
-    table = ORDER_FILTERS if spec.family in ORDER_FAMILIES else OPERATION_FILTERS
+    reference = TotalOrder.natural(spec.n) if spec.n >= 1 else None
     tests = [table[name] for name in sorted(spec.filters)]
     return (obj for obj in base if all(test(obj, reference) for test in tests))
 

@@ -195,14 +195,12 @@ def _check_theorem_counts() -> str:
             raise CheckFailure(f"order-preserving commutative count at n={n} is {monotone}")
     for n in range(1, 9):
         ref = TotalOrder.natural(n)
-        got = sum(
-            1
-            for t in total_orders(n)
-            if is_order_preserving(FiniteBinOp.max_under(t), ref)
-        )
+        got = sp = 0
+        for t in total_orders(n):
+            got += is_order_preserving(FiniteBinOp.max_under(t), ref)
+            sp += is_single_peaked(ref, t)
         if got != counting.single_peaked_count(n):
             raise CheckFailure(f"order-preserving commutative count at n={n} is {got}")
-        sp = sum(1 for t in total_orders(n) if is_single_peaked(ref, t))
         if sp != counting.single_peaked_count(n):
             raise CheckFailure(f"single-peaked count at n={n} is {sp}")
     return "commutative counts equal n! (n <= 6); order-preserving ones equal 2^(n-1) (n <= 8)"

@@ -450,8 +450,9 @@ class TestDeterminism:
             "4bde4926924d33c8ecd815281f5a6c66a1d87dcb361331cf56fb4444f8d63e23",
     }
 
-    # stdout SHA-256 of each listing, computed at a commit that built every
-    # table cell by cell and sliced shards after building
+    # stdout SHA-256 of each listing: the first five computed at a commit that
+    # built every table cell by cell and sliced shards after building, the
+    # rest at the last commit before the families shared one table of streams
     PINNED_SHA256 = {
         ("qt-semigroups", "--n", "5"):
             "aa01c3100679882a96d82e79309c6510045ce7ad21eeed1783f47c9475fb2e48",
@@ -463,6 +464,18 @@ class TestDeterminism:
             "0dd5fb0d7f0c5c3ffc4245b582154e1f2734d833d0142325e2c15fa46bf7c03f",
         ("weak-orders", "--n", "6"):
             "73bc92bd24f48a07f16974a6c2a9c4b9bb53094e815a09ebc35ce19edc9eb202",
+        ("total-orders", "--n", "5"):
+            "6369f1bd927cad58711577a88ea1fff2c0f82ffe739601bfc47188a4dd14f0f0",
+        ("single-peaked-total-orders", "--n", "7"):
+            "87616a54c6852dda0fddafac6ac164abd27e07418c607a8173e5815883af03fb",
+        ("weakly-single-peaked-weak-orders", "--n", "6"):
+            "87d69a7d3e8b1e0953a0e148b4367842fb61c43e231a7640bf0b923624918888",
+        # the peakedness families are sliced after their test, so a shard
+        # indexes only the orderings that pass
+        ("single-peaked-total-orders", "--n", "7", "--shards", "3", "--shard", "1"):
+            "5f57b70527e7bf0756f4b9cbe65feefe210376a79cbae5321c160243d56d6566",
+        ("weakly-single-peaked-weak-orders", "--n", "6", "--shards", "3", "--shard", "1"):
+            "c396a0e9e5468e5cb14023f7ca42ae2cdcb4a6cb73265f57fbe9c8915c986526",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED_SHA256))

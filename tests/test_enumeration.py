@@ -16,6 +16,10 @@ from quasitrivial import (
 )
 from quasitrivial.counting import ordered_bell, q_recurrence, v_recurrence
 from quasitrivial.enumeration import (
+    FAMILIES,
+    QT_SEMIGROUP_MAX_N,
+    TOTAL_ORDER_MAX_N,
+    WEAK_ORDER_MAX_N,
     FamilySpec,
     count,
     generate,
@@ -35,6 +39,10 @@ def independent_ordered_bell(n):
     for m in range(n):
         values.append(sum(math.comb(m + 1, k) * values[k] for k in range(m + 1)))
     return values[n]
+
+
+def first_rank_vector(n):
+    return next(rank_vectors(n))
 
 
 class TestFamilySpec:
@@ -179,12 +187,18 @@ class TestOperationStream:
             total_orders,
             lambda n: generate(FamilySpec("single-peaked-total-orders", n)),
             lambda n: generate(FamilySpec("weakly-single-peaked-weak-orders", n)),
+            qt_semigroups,
+            weak_orders,
+            first_rank_vector,
         ],
     )
     def test_empty_set_is_bad_input_not_capacity(self, make):
-        with pytest.raises(ValueError) as info:
-            make(0)
-        assert not isinstance(info.value, CapacityError)
+        # n = -1 is bad input to every stream, n = 0 to those of empty sets;
+        # `rank_vectors` is a generator, so it raises on its first object
+        for n in (-1,) if make in (weak_orders, first_rank_vector) else (-1, 0):
+            with pytest.raises(ValueError) as info:
+                make(n)
+            assert not isinstance(info.value, CapacityError)
 
 
 class TestCountsAgainstFormulas:
@@ -303,8 +317,15 @@ class TestSharding:
                 got = list(generate(spec, i, shards))
                 assert got == [obj for obj in base[i::shards] if obj in kept]
 
-    def test_invalid_shard(self):
-        with pytest.raises(ValueError):
-            list(generate(FamilySpec("weak-orders", 3), 3, 3))
-        with pytest.raises(ValueError):
-            qt_semigroups(3, 2, 2)
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_invalid_shard(self, family):
+        # `generate` itself rejects bad input, before any object is asked for
+        for shard_index, shard_count in ((3, 3), (2, 2), (-1, 2), (0, 0)):
+            with pytest.raises(ValueError):
+                generate(FamilySpec(family, 3), shard_index, shard_count)
+        over_cap = max(WEAK_ORDER_MAX_N, TOTAL_ORDER_MAX_N, QT_SEMIGROUP_MAX_N) + 1
+        with pytest.raises(CapacityError):
+            generate(FamilySpec(family, over_cap))
+        with pytest.raises(ValueError) as info:
+            generate(FamilySpec(family, -1))
+        assert not isinstance(info.value, CapacityError)
