@@ -438,8 +438,10 @@ class Sequence:
     `derivations` maps a method name to a pure-arithmetic function; the first
     one is the default.  The enumeration route counts
     `FamilySpec(family, n, filters)` from `enumeration_start` on: below it the
-    term is a convention with no population behind it.  The brute-force route
-    (`bruteforce_start` set) is the raw table search of `oracle`.  Every route
+    term is a convention with no population behind it.  `bruteforce`, if set,
+    is the first index of the brute-force route and the name of the `oracle`
+    search behind it, called with n alone; a name, looked up per call, so a
+    wrapper installed in `oracle` after import is the one called.  Every route
     is valid only for n >= `start`.
     """
 
@@ -447,7 +449,7 @@ class Sequence:
     family: str
     filters: frozenset[str] = frozenset()
     enumeration_start: int = 1
-    bruteforce_start: int | None = None
+    bruteforce: tuple[int, str] | None = None
     oeis: str | None = None
     start: int = 0
 
@@ -462,7 +464,8 @@ _MONOTONE = "monotone-for-reference"
 SEQUENCES: dict[str, Sequence] = {
     "q": Sequence(
         {"closed": q_closed, "recurrence": q_recurrence, "egf": q_egf, "appendix": q_appendix},
-        "qt-semigroups", bruteforce_start=1, oeis="A292932",
+        "qt-semigroups", bruteforce=(1, "brute_count_quasitrivial_associative"),
+        oeis="A292932",
     ),
     "q_e": Sequence({"closed": q_neutral}, "qt-semigroups", frozenset({"neutral"}),
                     oeis="A292933"),
@@ -533,11 +536,9 @@ def routes(name: str, n: int) -> dict[str, tuple[int, Callable[[int], int]]]:
         raise ValueError(f"{name}(n) is defined for n >= {seq.start}, got {n}")
     found = {method: (seq.start, fn) for method, fn in seq.derivations.items()}
     found["enumerate"] = (seq.enumeration_start, lambda m: count_by_enumeration(name, m))
-    if seq.bruteforce_start is not None:
-        found["bruteforce"] = (
-            seq.bruteforce_start,
-            lambda m: oracle.brute_count_quasitrivial_associative(m),
-        )
+    if seq.bruteforce is not None:
+        first, search = seq.bruteforce
+        found["bruteforce"] = (first, lambda m: getattr(oracle, search)(m))
     return found
 
 
@@ -558,20 +559,3 @@ def sequence_value(name: str, n: int, method: str | None = None) -> int:
     """One sequence term by one named route (default: the first derivation)."""
     _, fn = route(name, n, method)
     return fn(n)
-
-
-class SequenceTable:
-    """Values of one named sequence; recording a value that disagrees with
-    an earlier one raises immediately."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self._by_n: dict[int, int] = {}
-
-    def record(self, n: int, value: int, method: str) -> None:
-        if n in self._by_n and self._by_n[n] != value:
-            raise ConsistencyError(
-                f"{self.name}({n}): {method} gives {value}, "
-                f"earlier method gave {self._by_n[n]}"
-            )
-        self._by_n.setdefault(n, value)

@@ -4,9 +4,10 @@ Generation order is part of the contract: weak orderings stream in
 lexicographic rank-vector order; the projection choices of an operation
 stream by binary counting (left before right, the bottom-most fat class
 being the most significant digit).  Each family is one stream function
-`(n, shard_index=0, shard_count=1)`, listed with its filters in `FAMILIES`,
-restartable by calling it again.  It checks its input when called, in this
-order: n < 0, the shard, the size cap, then n = 0 for an empty family.
+`(n, shard_index=0, shard_count=1)`, restartable by calling it again, and
+one row of `FAMILIES` with its filters and the name of its line emitter.
+A stream checks its input when called, in this order: n < 0, the shard, the
+size cap, then n = 0 for an empty family.
 """
 
 from __future__ import annotations
@@ -229,14 +230,20 @@ def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[Finit
             yield make(tuple([pair[bits >> shift & 1] for pair, shift in keyed]))
 
 
-# Each family's stream and the filters that apply to its objects; `FamilySpec`,
-# `generate` and the command line's family choices all read this table.
+# Each family's stream, the filters that apply to its objects, and the name
+# of the `formats` function that writes one object as one line (a name, looked
+# up per run, so a wrapper installed in `formats` after import is the one
+# called).  `FamilySpec`, `generate` and the command line all read this table.
 FAMILIES = {
-    "total-orders": (total_orders, ORDER_FILTERS),
-    "weak-orders": (weak_orders, ORDER_FILTERS),
-    "single-peaked-total-orders": (_single_peaked_total_orders, ORDER_FILTERS),
-    "weakly-single-peaked-weak-orders": (_weakly_single_peaked_weak_orders, ORDER_FILTERS),
-    "qt-semigroups": (qt_semigroups, OPERATION_FILTERS),
+    "total-orders": (total_orders, ORDER_FILTERS, "emit_total_order"),
+    "weak-orders": (weak_orders, ORDER_FILTERS, "emit_weak_order"),
+    "single-peaked-total-orders": (
+        _single_peaked_total_orders, ORDER_FILTERS, "emit_total_order"
+    ),
+    "weakly-single-peaked-weak-orders": (
+        _weakly_single_peaked_weak_orders, ORDER_FILTERS, "emit_weak_order"
+    ),
+    "qt-semigroups": (qt_semigroups, OPERATION_FILTERS, "emit_cayley_line"),
 }
 
 
@@ -270,7 +277,7 @@ def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
     test.  The stream checks its input when called, so bad input raises here,
     before the first object is asked for.
     """
-    stream, table = FAMILIES[spec.family]
+    stream, table, _ = FAMILIES[spec.family]
     base = stream(spec.n, shard_index, shard_count)
     if not spec.filters:
         return base

@@ -175,13 +175,9 @@ def _value_counts(f: FiniteBinOp) -> list[int]:
 
 def f_degree(f: FiniteBinOp, z: int) -> int:
     """Number of points other than (z,z) sharing the value F(z,z)."""
-    target = f(z, z)
-    counts = 0
-    for row in f.rows:
-        for v in row:
-            if v == target:
-                counts += 1
-    return counts - 1
+    if not 1 <= z <= f.n:
+        raise ValueError(f"element {z} is not in 1..{f.n}")
+    return _value_counts(f)[f(z, z)] - 1
 
 
 def degree_sequence(f: FiniteBinOp) -> tuple[int, ...]:

@@ -149,6 +149,8 @@ class TotalOrder:
 
 def strict_convex_hull(t: TotalOrder, x: int, y: int) -> frozenset[int]:
     """Elements strictly between x and y under t; symmetric in x and y."""
+    if not (1 <= x <= t.n and 1 <= y <= t.n):
+        raise ValueError(f"elements {x}, {y} are not both in 1..{t.n}")
     if x == y:
         raise ValueError("strict convex hull requires two distinct elements")
     lo, hi = sorted((t.rank_of(x), t.rank_of(y)))

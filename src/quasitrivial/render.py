@@ -61,6 +61,8 @@ class ProfilePlot:
 
 def render_contour(f: FiniteBinOp, axis: TotalOrder | None = None, fmt: str = "ascii") -> str:
     axis = axis or TotalOrder.natural(f.n)
+    if axis.n != f.n:
+        raise ValueError("axis ordering has the wrong cardinality")
     if fmt == "ascii":
         return _contour_ascii(f, axis)
     if fmt == "svg":

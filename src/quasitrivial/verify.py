@@ -61,13 +61,19 @@ class CheckResult:
 
 def _check_method_agreement() -> str:
     for name, seq in counting.SEQUENCES.items():
-        table = counting.SequenceTable(name)
         for n in range(seq.start, 7):
+            first = None
             for method, fn in seq.derivations.items():
                 try:
-                    table.record(n, fn(n), method)
+                    value = fn(n)
                 except ConsistencyError as exc:
                     raise CheckFailure(str(exc)) from None
+                if first is None:
+                    first = value
+                if value != first:
+                    raise CheckFailure(
+                        f"{name}({n}): {method} gives {value}, earlier method gave {first}"
+                    )
     return "all derivations of every sequence agree for n <= 6"
 
 

@@ -3,7 +3,8 @@ the suite, exhaustive table generators, the plain references that the
 pruned searches are compared with (the factorial filter for the
 monotonizing-order search, the exhaustive mask loop for the oracle's raw
 quasitrivial search, and the `Fraction` series division for the scaled-integer
-one), and one session-wide run of each `verify full` check.
+one), the published rows of the q, u and v families, and one session-wide run
+of each `verify full` check.
 
 The X4 and X6 tables are transcriptions of known contour-plot examples; each
 fixture's defining properties (associativity, quasitriviality, degrees,
@@ -95,6 +96,28 @@ def series_coefficient_by_fractions(numerator, denominator, n):
             acc -= denominator[j] * seq[m - j]
         seq.append(acc / denominator[0])
     return seq[n]
+
+
+# Published rows of the q, u and v families for n = 0..6 (cf. the OEIS ids in
+# `counting.SEQUENCES`).
+TABLE_Q = {
+    "q": [1, 1, 4, 20, 138, 1182, 12166],
+    "q_e": [0, 1, 2, 12, 80, 690, 7092],
+    "q_a": [0, 1, 2, 12, 80, 690, 7092],
+    "q_ea": [0, 0, 2, 6, 48, 400, 4140],
+}
+TABLE_U = {
+    "u": [0, 1, 3, 8, 20, 49, 119],
+    "u_e": [0, 1, 2, 5, 12, 29, 70],
+    "u_a": [0, 0, 2, 6, 16, 40, 98],
+    "u_ea": [0, 0, 2, 4, 10, 24, 58],
+}
+TABLE_V = {
+    "v": [0, 1, 4, 12, 34, 94, 258],
+    "v_e": [0, 1, 2, 6, 16, 44, 120],
+    "v_a": [0, 0, 2, 8, 24, 68, 188],
+    "v_ea": [0, 0, 2, 4, 12, 32, 88],
+}
 
 
 # Commutative, associative, quasitrivial, monotone for the natural ordering

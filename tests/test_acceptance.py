@@ -5,7 +5,7 @@ check's one run in the session (the `verify_runs` fixture, whose results the
 pinned `verify` digests in test_cli.py reuse); the checks that hold no
 numbered criterion are asserted in `test_verify_check`.
 Criteria 1, 3 and 4 hold every route of `counting.SEQUENCES` to the pinned
-published tables below.  Exact-integer criteria allow zero tolerance.  Stated
+published tables of `conftest.py`.  Exact-integer criteria allow zero tolerance.  Stated
 wall-clock budgets are asserted as hard limits (they hold with an
 order-of-magnitude margin here).  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
@@ -23,24 +23,7 @@ from quasitrivial.enumeration import kimura_decompositions
 from quasitrivial.magmas import degree_sequence, f_degree, random_idempotent_table
 from quasitrivial.structure import build, induced_weak_order
 
-TABLE_Q = {
-    "q": [1, 1, 4, 20, 138, 1182, 12166],
-    "q_e": [0, 1, 2, 12, 80, 690, 7092],
-    "q_a": [0, 1, 2, 12, 80, 690, 7092],
-    "q_ea": [0, 0, 2, 6, 48, 400, 4140],
-}
-TABLE_U = {
-    "u": [0, 1, 3, 8, 20, 49, 119],
-    "u_e": [0, 1, 2, 5, 12, 29, 70],
-    "u_a": [0, 0, 2, 6, 16, 40, 98],
-    "u_ea": [0, 0, 2, 4, 10, 24, 58],
-}
-TABLE_V = {
-    "v": [0, 1, 4, 12, 34, 94, 258],
-    "v_e": [0, 1, 2, 6, 16, 44, 120],
-    "v_a": [0, 0, 2, 8, 24, 68, 188],
-    "v_ea": [0, 0, 2, 4, 12, 32, 88],
-}
+from conftest import TABLE_Q, TABLE_U, TABLE_V
 
 # Each `verify full` check: the criterion it holds (None if it holds no
 # numbered one) and its budget in seconds, the criterion's where there is one.

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from quasitrivial import cli, enumeration, structure
+from quasitrivial.enumeration import FAMILIES
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -66,13 +67,22 @@ def test_filter_calls_are_traced(tracer, capsys):
         assert calls.get(name, {}).get("calls", 0) > 0, name
 
 
+LINES_AT_3 = {
+    "total-orders": 6,
+    "weak-orders": 13,
+    "single-peaked-total-orders": 4,
+    "weakly-single-peaked-weak-orders": 8,
+    "qt-semigroups": 20,
+}
+
+
 @pytest.mark.parametrize(
-    "family,emitter",
-    [("qt-semigroups", "formats.emit_cayley_line"), ("weak-orders", "formats.emit_weak_order")],
+    "family,emitter", [(family, f"formats.{row[2]}") for family, row in FAMILIES.items()]
 )
 def test_every_emitted_line_is_one_traced_emit(tracer, capsys, family, emitter):
-    # `cli` looks the emitter up by name for each run and calls it once per
-    # object; an emitter bound at import or inlined would hide from a trace
+    # `cli` looks the family's emitter up in `formats` by name for each run
+    # and calls it once per object; an emitter held in the table, bound at
+    # import or inlined would hide from a trace
     tr = tracer.Tracer()
     tr.install()
     try:
@@ -82,5 +92,20 @@ def test_every_emitted_line_is_one_traced_emit(tracer, capsys, family, emitter):
         tr.uninstall()
     assert code == 0
     lines = capsys.readouterr().out.count("\n")
-    assert lines == {"qt-semigroups": 20, "weak-orders": 13}[family]
+    assert lines == LINES_AT_3[family]
     assert calls.get(emitter, {}).get("calls", 0) == lines
+
+
+def test_bruteforce_route_is_one_traced_search(tracer, capsys):
+    # `counting.routes` looks the search named by the sequence up in `oracle`
+    # on each call; a search held in the table would hide from a trace
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        code = cli.main(["count", "q", "3", "--method", "all"])
+        calls = tracer.reduce(tr.names, tr.take())["names"]
+    finally:
+        tr.uninstall()
+    assert code == 0
+    assert "q 3 20 bruteforce\n" in capsys.readouterr().out
+    assert calls.get("oracle.brute_count_quasitrivial_associative", {}).get("calls", 0) == 1

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quasitrivial import counting, verify
+from quasitrivial import ConsistencyError, counting, verify
 from quasitrivial.cli import ENUMERATE_CHUNK_LINES, ORACLE_CHECKS, main
 from conftest import X3_NOT_QUASITRIVIAL, X4_NEVER_MONOTONE, X4_PEAKED
 
@@ -55,10 +55,13 @@ class TestCount:
         assert "q 3 20 bruteforce" in out.splitlines()
 
     def test_mismatch_detected(self, capsys, monkeypatch):
+        # each value is held to the first route's; the mismatching line is
+        # printed before the run stops
         monkeypatch.setitem(counting.METHODS["q"], "closed", lambda n: 1)
         code, out, err = run(capsys, "count", "q", "4", "--method", "all")
         assert code == 1
-        assert "q 4 MISMATCH" in err
+        assert out == "q 4 1 closed\nq 4 138 recurrence\n"
+        assert err == "q 4 MISMATCH\n"
 
     def test_unknown_sequence(self, capsys):
         code, _, err = run(capsys, "count", "zz", "3")
@@ -376,24 +379,27 @@ class TestOracle:
 
 
 class TestVerify:
-    def test_quick_passes(self, capsys):
-        code, out, err = run(capsys, "verify", "quick")
-        assert code == 0
-        assert out.splitlines()[-1] == "all 3 checks passed"
-        assert all(line.startswith("ok ") for line in out.splitlines()[:-1])
-        assert err == ""
-
     def test_tampered_constant_fails_naming_sequence_and_index(self, capsys, monkeypatch):
         original = counting.q_closed
-        monkeypatch.setitem(
-            counting.METHODS["q"], "closed", lambda n: 999 if n == 5 else original(n)
+
+        def inconsistent(n):
+            raise ConsistencyError("u_gf: tampered division")
+
+        tampered = (
+            # a wrong value, held to the first derivation's
+            ("q", "closed", lambda n: 999 if n == 5 else original(n),
+             "q(5): recurrence gives 1182, earlier method gave 999"),
+            # a derivation that finds its own inconsistency fails the check,
+            # not the run
+            ("u", "gf", inconsistent, "u_gf: tampered division"),
         )
-        code, out, err = run(capsys, "verify", "quick")
-        assert code == 1
-        fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert fail_lines
-        assert any("q(5)" in line for line in fail_lines)
-        assert "of 3 checks failed" in err
+        for name, method, fn, detail in tampered:
+            with monkeypatch.context() as patch:
+                patch.setitem(counting.METHODS[name], method, fn)
+                code, out, err = run(capsys, "verify", "quick")
+            assert code == 1
+            assert f"FAIL method-agreement: {detail}" in out.splitlines()
+            assert "of 3 checks failed" in err
 
 
 class TestSubprocess:

@@ -8,27 +8,7 @@ import pytest
 from quasitrivial import CapacityError, ConsistencyError
 from quasitrivial import counting as C
 
-from conftest import series_coefficient_by_fractions
-
-# Published reference rows for n = 0..6 (cf. the OEIS ids in C.SEQUENCES).
-TABLE_Q = {
-    "q": [1, 1, 4, 20, 138, 1182, 12166],
-    "q_e": [0, 1, 2, 12, 80, 690, 7092],
-    "q_a": [0, 1, 2, 12, 80, 690, 7092],
-    "q_ea": [0, 0, 2, 6, 48, 400, 4140],
-}
-TABLE_U = {
-    "u": [0, 1, 3, 8, 20, 49, 119],
-    "u_e": [0, 1, 2, 5, 12, 29, 70],
-    "u_a": [0, 0, 2, 6, 16, 40, 98],
-    "u_ea": [0, 0, 2, 4, 10, 24, 58],
-}
-TABLE_V = {
-    "v": [0, 1, 4, 12, 34, 94, 258],
-    "v_e": [0, 1, 2, 6, 16, 44, 120],
-    "v_a": [0, 0, 2, 8, 24, 68, 188],
-    "v_ea": [0, 0, 2, 4, 12, 32, 88],
-}
+from conftest import TABLE_Q, TABLE_U, TABLE_V, series_coefficient_by_fractions
 
 
 def brute_force_stirling(n, k):
@@ -313,12 +293,6 @@ class TestRegistry:
             C.count_by_enumeration("v_a", 1)
         assert not isinstance(info.value, CapacityError)
 
-    def test_sequence_table_flags_mismatch(self):
-        table = C.SequenceTable("q")
-        table.record(4, 138, "closed")
-        table.record(4, 138, "recurrence")
-        with pytest.raises(ConsistencyError, match=r"q\(4\)"):
-            table.record(4, 999, "tampered")
 
 
 def test_u_counts_tie_to_subset_sums():

@@ -180,6 +180,13 @@ class TestDegrees:
             full_degree = {z for z in range(1, 5) if f_degree(f, z) == 6}
             assert annih == full_degree
 
+    def test_degree_rejects_element_out_of_range(self, x4_peaked):
+        # z = 0 would read F(n, n) through the negative index, z = n + 1 the
+        # row past the end
+        for z in (0, 5, -1):
+            with pytest.raises(ValueError):
+                f_degree(x4_peaked, z)
+
     def test_degree_sum_is_n_squared_minus_n_for_idempotent(self):
         rng = random.Random(7)
         for _ in range(500):

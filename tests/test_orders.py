@@ -104,6 +104,13 @@ class TestConvexity:
         with pytest.raises(ValueError):
             strict_convex_hull(TotalOrder.natural(3), 2, 2)
 
+    def test_hull_rejects_elements_out_of_range(self):
+        # 0 would be read as the element ranked last through the negative index
+        t4 = TotalOrder.natural(4)
+        for x, y in ((0, 2), (2, 0), (5, 1), (1, 5), (-1, 3)):
+            with pytest.raises(ValueError):
+                strict_convex_hull(t4, x, y)
+
     def test_is_convex(self):
         t5 = TotalOrder.natural(5)
         assert is_convex(t5, {2, 3, 4})

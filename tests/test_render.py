@@ -6,7 +6,7 @@ import pytest
 
 from quasitrivial import FiniteBinOp, TotalOrder, WeakOrder, profile_patterns
 from quasitrivial.enumeration import weak_orders
-from quasitrivial.render import ContourPlot, ProfilePlot, render_contour, render_profile
+from quasitrivial.render import FORMATS, ContourPlot, ProfilePlot, render_contour, render_profile
 
 
 class TestContourAscii:
@@ -32,6 +32,15 @@ class TestContourAscii:
     def test_unknown_format(self, x4_peaked):
         with pytest.raises(ValueError):
             render_contour(x4_peaked, fmt="png")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("axis_n", [2, 4])
+def test_contour_rejects_axis_of_wrong_size(fmt, axis_n):
+    # neither a sub-grid nor an IndexError: every format rejects the axis
+    f = FiniteBinOp.max_under(TotalOrder.natural(3))
+    with pytest.raises(ValueError, match="wrong cardinality"):
+        render_contour(f, TotalOrder.natural(axis_n), fmt)
 
 
 class TestContourSvg:
