@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from itertools import islice
 
 from . import counting, formats, oracle, verify
 from .enumeration import FAMILIES, FamilySpec, generate
-from .errors import CapacityError, DecompositionError, ParseError
+from .errors import CapacityError, ConsistencyError, DecompositionError, ParseError
 from .formats import (
     emit_classification,
     emit_properties,
@@ -109,9 +110,12 @@ def _reference_for(args, n: int) -> TotalOrder:
 def _cmd_check(args) -> int:
     f = load_table(_read_input(args.input))
     reference = _reference_for(args, f.n)
-    out = emit_properties(TableProperties.of(f), is_order_preserving(f, reference))
+    properties = TableProperties.of(f)
+    out = emit_properties(properties, is_order_preserving(f, reference))
     if args.find_order:
-        found = exists_monotonizing_order(f)
+        # a factorization lists the orderings directly, at any n
+        decomposable = properties.associative and properties.quasitrivial
+        found = exists_monotonizing_order(f, decompose(f) if decomposable else None)
         if found is None:
             total = math.factorial(f.n)
             out += f"no order-preserving total ordering exists ({total}/{total} rejected)\n"
@@ -203,7 +207,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, shared by every `main` call: parsing
+    leaves it unchanged, and callers must not change it either."""
     parser = argparse.ArgumentParser(
         prog="quasitrivial",
         description="Construct, classify, enumerate, and count quasitrivial semigroups.",
@@ -281,6 +288,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        # two routes that must agree did not: a failed check, not bad input
+        print(f"inconsistency: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterator, Mapping
 
 from .errors import CapacityError, ConsistencyError, DecompositionError
 from .magmas import (
     FiniteBinOp,
+    _value_counts,
     annihilator_elements,
     degree_sequence,
-    f_degree,
     is_associative,
     is_commutative,
     is_idempotent,
@@ -143,10 +144,16 @@ def induced_weak_order(f: FiniteBinOp) -> WeakOrder:
     return _ranks_from_levels(below)
 
 
+def _degrees(f: FiniteBinOp) -> list[int]:
+    """`f_degree` of every element in turn, from one count of the values."""
+    counts = _value_counts(f)
+    return [counts[row[z]] - 1 for z, row in enumerate(f.rows)]
+
+
 def weak_order_from_degrees(f: FiniteBinOp) -> WeakOrder:
     """The same weak ordering recovered by sorting degrees nondecreasingly."""
     _require_decomposable(f)
-    return _ranks_from_levels([f_degree(f, z) for z in range(1, f.n + 1)])
+    return _ranks_from_levels(_degrees(f))
 
 
 def decompose(f: FiniteBinOp) -> KimuraDecomposition:
@@ -191,31 +198,27 @@ def commutative_characterization(f: FiniteBinOp) -> TotalOrder | None:
             raise ConsistencyError("commutative factorization has a fat class")
         via_structure = order.to_total()
     via_degrees = None
-    if is_quasitrivial(f) and degree_sequence(f) == tuple(range(0, 2 * n, 2)):
-        degrees = [f_degree(f, z) for z in range(1, n + 1)]
-        via_degrees = _ranks_from_levels(degrees).to_total()
+    if is_quasitrivial(f):
+        degrees = _degrees(f)
+        if sorted(degrees) == list(range(0, 2 * n, 2)):
+            via_degrees = _ranks_from_levels(degrees).to_total()
     if via_structure != via_degrees:
         raise ConsistencyError("structure and degree characterizations disagree")
     return via_structure
 
 
-def monotonizing_orders(f: FiniteBinOp) -> Iterator[TotalOrder]:
-    """All total orderings t with f order-preserving for t, in lexicographic
-    order of the element listing.  Capacity-limited.
+def _pruned_listings(f: FiniteBinOp) -> Iterator[tuple[int, ...]]:
+    """Every element listing the pruned search reaches, in lexicographic
+    order: a superset of the order-preserving ones.
 
     Depth-first search over prefixes of the listing, smallest candidate first.
     Let key(v) be v's position in the prefix, or n while v is unplaced.  Every
     completion puts a placed u below each v with key(u) < key(v), and an
     unplaced value above every placed one, so the prefix has no
     order-preserving completion if for such u, v and some y
-    key(F(u,y)) > key(F(v,y)) or key(F(y,u)) > key(F(y,v)).  Each complete
-    listing is still accepted by `is_order_preserving`.
+    key(F(u,y)) > key(F(v,y)) or key(F(y,u)) > key(F(y,v)).
     """
     n = f.n
-    if n > MONOTONE_SEARCH_MAX_N:
-        raise CapacityError(
-            f"monotonizing-order search is limited to n <= {MONOTONE_SEARCH_MAX_N}"
-        )
     rows = [[v - 1 for v in row] for row in f.rows]
     # F(u, y) read along rows, F(y, u) along columns: both arguments at once
     sides = (rows, [list(col) for col in zip(*rows)])
@@ -239,12 +242,10 @@ def monotonizing_orders(f: FiniteBinOp) -> Iterator[TotalOrder]:
                         return False
         return True
 
-    def extend() -> Iterator[TotalOrder]:
+    def extend() -> Iterator[tuple[int, ...]]:
         depth = len(listing)
         if depth == n:
-            t = TotalOrder.from_ordered_elements(e + 1 for e in listing)
-            if is_order_preserving(f, t):
-                yield t
+            yield tuple(e + 1 for e in listing)
             return
         for e in range(n):
             if key[e] == n:
@@ -258,9 +259,91 @@ def monotonizing_orders(f: FiniteBinOp) -> Iterator[TotalOrder]:
     yield from extend()
 
 
-def exists_monotonizing_order(f: FiniteBinOp) -> TotalOrder | None:
-    """Some ordering for which f is order-preserving, or None."""
-    return next(monotonizing_orders(f), None)
+def _factored_listings(d: KimuraDecomposition) -> Iterator[tuple[int, ...]]:
+    """The element listings along which the ranks of `d` fall strictly to the
+    bottom class, run through it as one block and rise strictly, in
+    lexicographic order.
+
+    Depth-first over the falling positions, smallest candidate first.  A
+    class of two elements puts one on each side, so below the last falling
+    rank `low` no such class may be skipped: the candidates are the unplaced
+    elements of rank in [fence[low], low), and every prefix so chosen has a
+    completion.  A bottom candidate starts the block; each order of the rest
+    of the block follows, then the unplaced elements by increasing rank.
+    """
+    ranks = d.order.ranks
+    classes = d.order.classes()
+    if any(len(block) > 2 for block in classes[1:]):
+        return
+    k = len(classes)
+    # fence[r]: the highest rank below r held by a class of two, else 0
+    fence = [0] * (k + 2)
+    for r in range(3, k + 2):
+        fence[r] = r - 1 if len(classes[r - 2]) == 2 else fence[r - 1]
+    bottom = sorted(classes[0])
+    listing = []
+    placed = [False] * (len(ranks) + 1)
+
+    def fall(low: int) -> Iterator[tuple[int, ...]]:
+        rising = None
+        for e, r in enumerate(ranks, start=1):
+            if placed[e] or not fence[low] <= r < low:
+                continue
+            if r > 1:
+                placed[e] = True
+                listing.append(e)
+                yield from fall(r)
+                listing.pop()
+                placed[e] = False
+                continue
+            if rising is None:
+                rising = sorted((x for x, rx in enumerate(ranks, start=1)
+                                 if rx > 1 and not placed[x]), key=d.order.rank_of)
+            for block in permutations([b for b in bottom if b != e]):
+                yield (*listing, e, *block, *rising)
+
+    yield from fall(k + 1)
+
+
+def monotonizing_orders(
+    f: FiniteBinOp, decomposition: KimuraDecomposition | None = None
+) -> Iterator[TotalOrder]:
+    """All total orderings t with f order-preserving for t, in lexicographic
+    order of the element listing.
+
+    Given f's factorization `decomposition`, the orderings are generated from
+    it (`_factored_listings`), at any n; each one must pass
+    `is_order_preserving`, else ConsistencyError.  Without it a pruned search
+    over prefixes of the listing (`_pruned_listings`) finds them, capped at
+    n <= MONOTONE_SEARCH_MAX_N; each listing it completes is kept only if
+    `is_order_preserving` accepts it.
+    """
+    if decomposition is None:
+        if f.n > MONOTONE_SEARCH_MAX_N:
+            raise CapacityError(
+                f"monotonizing-order search is limited to n <= {MONOTONE_SEARCH_MAX_N}"
+            )
+        listings = _pruned_listings(f)
+    elif decomposition.order.n != f.n:
+        raise ValueError("operation and decomposition have different cardinalities")
+    else:
+        listings = _factored_listings(decomposition)
+    for listing in listings:
+        t = TotalOrder.from_ordered_elements(listing)
+        if is_order_preserving(f, t):
+            yield t
+        elif decomposition is not None:
+            raise ConsistencyError(
+                f"the factorization lists {listing}, for which the table is not order-preserving"
+            )
+
+
+def exists_monotonizing_order(
+    f: FiniteBinOp, decomposition: KimuraDecomposition | None = None
+) -> TotalOrder | None:
+    """Some ordering for which f is order-preserving, or None; the first of
+    `monotonizing_orders(f, decomposition)`."""
+    return next(monotonizing_orders(f, decomposition), None)
 
 
 @dataclass(frozen=True)
@@ -298,8 +381,10 @@ class ClassificationReport(TableProperties):
 def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> ClassificationReport:
     """Populate a ClassificationReport against a reference ordering.
 
-    The monotonizing-order list is truncated at `MONOTONE_LIST_LIMIT` entries,
-    and skipped entirely (marked truncated) above the search capacity.
+    The monotonizing-order list is truncated at `MONOTONE_LIST_LIMIT` entries.
+    A decomposable f gets it from its factorization at any n; any other f
+    from the search, and above the search capacity the list is skipped
+    entirely (marked truncated).
     """
     n = f.n
     reference = reference or TotalOrder.natural(n)
@@ -313,8 +398,8 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
         wsp = is_weakly_single_peaked(reference, decomposition.order)
     monotone = []
     truncated = False
-    if n <= MONOTONE_SEARCH_MAX_N:
-        for t in monotonizing_orders(f):
+    if decomposition is not None or n <= MONOTONE_SEARCH_MAX_N:
+        for t in monotonizing_orders(f, decomposition):
             if len(monotone) >= MONOTONE_LIST_LIMIT:
                 truncated = True
                 break

@@ -18,7 +18,14 @@ from itertools import permutations, product
 
 import pytest
 
-from quasitrivial import FiniteBinOp, TotalOrder, is_order_preserving, verify
+from quasitrivial import (
+    FiniteBinOp,
+    KimuraDecomposition,
+    TotalOrder,
+    WeakOrder,
+    is_order_preserving,
+    verify,
+)
 from quasitrivial.formats import parse_cayley
 from quasitrivial.oracle import _is_associative_flat, _triples_distinct_first
 
@@ -55,6 +62,27 @@ def monotonizing_orders_by_filter(f):
         t = TotalOrder.from_ordered_elements(elems)
         if is_order_preserving(f, t):
             yield t
+
+
+def sampled_decomposition(n, rng, thin=False):
+    """A random factorization on {1..n}, not uniform: class sizes drawn bottom
+    first (at most two above the bottom class when `thin`, so some ordering
+    makes the table order-preserving), the elements shuffled into them, and a
+    random side for each class of two or more."""
+    elements = list(range(1, n + 1))
+    rng.shuffle(elements)
+    ranks = [0] * n
+    sides = {}
+    rank = 0
+    while elements:
+        size = rng.randint(1, min(2, len(elements)) if thin and rank else len(elements))
+        rank += 1
+        for x in elements[:size]:
+            ranks[x - 1] = rank
+        if size >= 2:
+            sides[rank] = rng.choice(("left", "right"))
+        del elements[:size]
+    return KimuraDecomposition.make(WeakOrder(tuple(ranks)), sides)
 
 
 def qt_associative_count_by_masks(n, shard_index=0, shard_count=1):

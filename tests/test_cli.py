@@ -1,15 +1,18 @@
 """CLI: subcommand behavior, exit codes, stream separation, determinism."""
 
 import hashlib
+import io
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from quasitrivial import ConsistencyError, counting, verify
-from quasitrivial.cli import ENUMERATE_CHUNK_LINES, ORACLE_CHECKS, main
-from conftest import X3_NOT_QUASITRIVIAL, X4_NEVER_MONOTONE, X4_PEAKED
+from quasitrivial import ConsistencyError, FiniteBinOp, build, counting, verify
+from quasitrivial.cli import ENUMERATE_CHUNK_LINES, ORACLE_CHECKS, build_parser, main
+from quasitrivial.formats import emit_cayley_line
+from conftest import X3_NOT_QUASITRIVIAL, X4_NEVER_MONOTONE, X4_PEAKED, sampled_decomposition
 
 # `python -m` finds the package from here whether or not it is installed
 PACKAGE_PARENT = Path(counting.__file__).resolve().parents[1]
@@ -19,6 +22,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_stdin(capsys, monkeypatch, text, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, *argv)
 
 
 @pytest.fixture
@@ -72,6 +80,15 @@ class TestCount:
         code, _, err = run(capsys, "count", "u", "3", "--method", "egf")
         assert code == 2
         assert "no method" in err
+
+    def test_inconsistent_derivation_is_a_failed_check(self, capsys, monkeypatch):
+        def inconsistent(n):
+            raise ConsistencyError("u_gf: tampered")
+
+        monkeypatch.setitem(counting.METHODS["u"], "gf", inconsistent)
+        code, _, err = run(capsys, "count", "u", "3", "--method", "all")
+        assert code == 1
+        assert err == "inconsistency: u_gf: tampered\n"
 
     def test_capacity_exceeded(self, capsys):
         code, _, err = run(capsys, "count", "q", "6", "--method", "bruteforce")
@@ -266,6 +283,41 @@ class TestClassifyDecompose:
         assert "weak_order: 2 1 2 3" in out.splitlines()
         assert "choices: 2=right" in out.splitlines()
 
+    def test_rejected_listed_order_is_a_failed_check(self, capsys, monkeypatch, peaked_file):
+        monkeypatch.setattr("quasitrivial.structure.is_order_preserving", lambda f, t: False)
+        code, out, err = run(capsys, "classify", peaked_file)
+        assert (code, out) == (1, "")
+        assert err.startswith("inconsistency: the factorization lists (")
+
+    @pytest.mark.parametrize("n", (9, 12))
+    def test_find_order_past_search_cap_is_first_classified(self, capsys, monkeypatch, n):
+        # a factorization lists the orders at any n: `check --find-order`
+        # prints the first of those `classify` lists
+        rng = random.Random(n)
+        for thin in (True, True, False):
+            text = emit_cayley_line(build(sampled_decomposition(n, rng, thin))) + "\n"
+            code, classified, _ = run_stdin(capsys, monkeypatch, text, "classify", "-")
+            assert code == 0
+            fields = dict(line.split(": ", 1) for line in classified.splitlines())
+            code, checked, _ = run_stdin(capsys, monkeypatch, text, "check", "--find-order", "-")
+            assert code == 0
+            if "monotone_for_1" in fields:
+                assert f"found: totalorder {n} : {fields['monotone_for_1']}" in checked
+            else:
+                assert fields["monotone_for_count"] == "0"
+                assert "no order-preserving total ordering exists" in checked
+
+    def test_past_search_cap_without_factorization(self, capsys, monkeypatch):
+        rows = [list(row) for row in FiniteBinOp.projection(9, "left").rows]
+        rows[0][1] = 2  # quasitrivial, not associative
+        text = emit_cayley_line(FiniteBinOp(rows)) + "\n"
+        code, out, _ = run_stdin(capsys, monkeypatch, text, "classify", "-")
+        assert code == 0
+        assert "monotone_for_count: 0\nmonotone_for_truncated: true\n" in out
+        code, out, err = run_stdin(capsys, monkeypatch, text, "check", "--find-order", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("capacity: ")
+
     def test_decompose(self, capsys, peaked_file):
         code, out, err = run(capsys, "decompose", peaked_file)
         assert code == 0
@@ -424,6 +476,31 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "weakorder 4 : 2 1 2 3"
+
+
+class TestParserReuse:
+    # one parser serves every call in a process; no call may see another's
+    # arguments
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_filter_list_starts_empty(self, capsys):
+        filtered = run(capsys, "enumerate", "qt-semigroups", "--n", "3", "--filter", "commutative")
+        plain = run(capsys, "enumerate", "qt-semigroups", "--n", "3")
+        assert [len(out.splitlines()) for _, out, _ in (filtered, plain)] == [6, 20]
+
+    def test_find_order_not_kept(self, capsys, monkeypatch):
+        _, out, _ = run_stdin(capsys, monkeypatch, X4_PEAKED, "check", "--find-order", "-")
+        assert "found: " in out
+        _, out, _ = run_stdin(capsys, monkeypatch, X4_PEAKED, "check", "-")
+        assert "found: " not in out
+
+    def test_reference_not_kept(self, capsys, monkeypatch):
+        text = "cayley 3 : 1 2 3 2 2 3 3 3 3\n"  # the maximum for 1 < 2 < 3
+        _, out, _ = run_stdin(capsys, monkeypatch, text, "classify", "--reference", "1 3 2", "-")
+        assert "order_preserving_for_reference: false" in out.splitlines()
+        _, out, _ = run_stdin(capsys, monkeypatch, text, "classify", "-")
+        assert "order_preserving_for_reference: true" in out.splitlines()
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Property tests of the pruned searches, the order-preservation kernel and
-the scaled-integer series division against their plain references."""
+the scaled-integer series division against their plain references, and of
+the monotonizing orders listed from a factorization against the search."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from quasitrivial import ConsistencyError, FiniteBinOp, TotalOrder, is_order_preserving
+from quasitrivial import ConsistencyError, FiniteBinOp, TotalOrder, build, is_order_preserving
 from quasitrivial.counting import _series_coefficient
 from quasitrivial.magmas import order_preserving_by_definition
 from quasitrivial.oracle import brute_count_quasitrivial_associative
@@ -16,6 +17,7 @@ from quasitrivial.structure import monotonizing_orders
 from conftest import (
     monotonizing_orders_by_filter,
     qt_associative_count_by_masks,
+    sampled_decomposition,
     series_coefficient_by_fractions,
 )
 
@@ -42,6 +44,22 @@ def test_first_orders_equal_factorial_filter(f):
     # classify lists at most the first 25
     assert list(islice(monotonizing_orders(f), 25)) == list(
         islice(monotonizing_orders_by_filter(f), 25)
+    )
+
+
+@st.composite
+def decompositions(draw):
+    n = draw(st.integers(1, 7))
+    rng = draw(st.randoms(use_true_random=False))
+    return sampled_decomposition(n, rng, thin=draw(st.booleans()))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(decompositions())
+def test_first_factored_orders_equal_search(d):
+    f = build(d)
+    assert list(islice(monotonizing_orders(f, d), 25)) == list(
+        islice(monotonizing_orders(f), 25)
     )
 
 

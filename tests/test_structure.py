@@ -2,10 +2,13 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
 from quasitrivial import (
+    CapacityError,
+    ConsistencyError,
     DecompositionError,
     FiniteBinOp,
     KimuraDecomposition,
@@ -24,9 +27,15 @@ from quasitrivial import (
     weak_order_from_degrees,
 )
 from quasitrivial.enumeration import kimura_decompositions, qt_semigroups
+from quasitrivial.magmas import order_preserving_by_definition
 from quasitrivial.structure import monotonizing_orders, projection_rows
 
-from conftest import all_quasitrivial_tables, all_tables, monotonizing_orders_by_filter
+from conftest import (
+    all_quasitrivial_tables,
+    all_tables,
+    monotonizing_orders_by_filter,
+    sampled_decomposition,
+)
 
 
 def decomp(ranks, **sides):
@@ -262,11 +271,65 @@ class TestMonotonizingOrders:
             assert is_order_preserving(x4_peaked, t)
 
     def test_capacity_guard(self):
-        f = FiniteBinOp.projection(9, "left")
-        from quasitrivial import CapacityError
-
+        # the search stays capped: a table with no factorization (one cell of
+        # the left projection flipped) has nothing else to list orders from
+        rows = [list(row) for row in FiniteBinOp.projection(9, "left").rows]
+        rows[0][1] = 2
+        f = FiniteBinOp(rows)
+        assert is_quasitrivial(f) and not is_associative(f)
         with pytest.raises(CapacityError):
             exists_monotonizing_order(f)
+        with pytest.raises(CapacityError):
+            exists_monotonizing_order(FiniteBinOp.projection(9, "left"))
+
+    def test_factorization_lifts_the_cap(self):
+        f = FiniteBinOp.projection(9, "left")
+        assert exists_monotonizing_order(f, decompose(f)) == TotalOrder.natural(9)
+
+    def test_factored_route_equals_search(self):
+        for f in (f for n in range(1, 6) for f in qt_semigroups(n)):
+            assert list(monotonizing_orders(f, decompose(f))) == list(monotonizing_orders(f)), f.rows
+
+    def test_factored_route_equals_search_first_orders(self):
+        # classify lists at most the first 25
+        rng = random.Random(15)
+        tables = rng.sample(list(qt_semigroups(6)), 300)
+        tables += [build(sampled_decomposition(n, rng, thin=i % 2 == 1))
+                   for n in (7, 8) for i in range(50)]
+        for f in tables:
+            assert list(islice(monotonizing_orders(f, decompose(f)), 25)) == list(
+                islice(monotonizing_orders(f), 25)
+            ), f.rows
+
+    @pytest.mark.parametrize("n", (9, 12))
+    def test_factored_route_past_the_search_cap(self, n):
+        rng = random.Random(n)
+        for i in range(40):
+            f = build(sampled_decomposition(n, rng, thin=i % 2 == 1))
+            classes = decompose(f).order.classes()
+            if any(len(block) >= 3 for block in classes[1:]):
+                expected = 0
+            else:
+                expected = math.factorial(len(classes[0])) * 2 ** (len(classes) - 1)
+            listed = list(islice(monotonizing_orders(f, decompose(f)), 25))
+            assert len(listed) == min(25, expected), f.rows
+            listings = [t.ordered_elements() for t in listed]
+            assert listings == sorted(set(listings)), f.rows
+            if n == 9:
+                assert all(order_preserving_by_definition(f, t) for t in listed), f.rows
+
+    def test_factored_route_checks_every_order(self, monkeypatch):
+        # an order the factorization lists but the table rejects is a bug
+        f = FiniteBinOp.projection(4, "left")
+        monkeypatch.setattr("quasitrivial.structure.is_order_preserving", lambda f, t: False)
+        assert list(monotonizing_orders(f)) == []
+        with pytest.raises(ConsistencyError):
+            exists_monotonizing_order(f, decompose(f))
+
+    def test_factorization_of_another_size_rejected(self):
+        f = FiniteBinOp.projection(4, "left")
+        with pytest.raises(ValueError):
+            exists_monotonizing_order(FiniteBinOp.projection(3, "left"), decompose(f))
 
     # the factorial filter is the reference: on every listed table the search
     # yields exactly its orderings, in its order
