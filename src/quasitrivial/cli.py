@@ -73,13 +73,7 @@ def _cmd_count(args) -> int:
         print(f"{name} {n} {fn(n)} {method}")
         return 0
     first = None
-    for method, (start, fn) in counting.routes(name, n).items():
-        if n < start:
-            continue
-        try:
-            value = fn(n)
-        except CapacityError:
-            continue
+    for method, value in counting.route_values(name, n):
         if first is None:
             first = value
         print(f"{name} {n} {value} {method}")

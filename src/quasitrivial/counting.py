@@ -8,22 +8,23 @@ integers scaled by a caller-given factor (n! for an egf), and every division
 is asserted exact.
 
 `SEQUENCES` is the one place that lists a sequence's routes: its derivations,
-its direct enumeration, its brute-force search, the first index of each, and
-the smallest n the sequence is defined for.  `count`, `verify` and the tests
-read it instead of keeping their own lists.
+its direct enumeration, its brute-force search, the first index of each, the
+smallest n the sequence is defined for, and its published terms.  `count`,
+`verify` and the tests read it instead of keeping their own lists, and
+`route_values` is the one loop that runs a sequence's routes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from typing import Callable
+from typing import Callable, Collection, Iterator
 
 from . import oracle
 from .enumeration import FamilySpec, count
-from .errors import ConsistencyError
+from .errors import CapacityError, ConsistencyError
 
 
 def _from_zero(fn: Callable[[int], int]) -> Callable[[int], int]:
@@ -65,17 +66,6 @@ def stirling2(n: int, k: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"stirling2 needs 0 <= k <= n, got ({n}, {k})")
     return _stirling2(n, k)
-
-
-def stirling2_explicit(n: int, k: int) -> int:
-    """The same number by the alternating sum (1/k!) sum (-1)^(k-i) C(k,i) i^n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"stirling2 needs 0 <= k <= n, got ({n}, {k})")
-    total = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
-    q, r = divmod(total, math.factorial(k))
-    if r:
-        raise ConsistencyError(f"alternating sum for stirling2({n},{k}) not divisible")
-    return q
 
 
 def _series_coefficient(
@@ -388,52 +378,12 @@ def commutative_count(n: int) -> int:
     return math.factorial(n)
 
 
-# --- growth diagnostic --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SingularityProbe:
-    """Diagnostic only: the positive zero of x + 3 - 2 e^x and the growth
-    ratios q(n+1) / ((n+1) q(n)).  The ratios converge to 1/root, a theorem
-    (Flajolet & Sedgewick, Analytic Combinatorics, 2009, Thm IV.10), but the
-    limit is not asserted anywhere in this package."""
-
-    root: float
-    inverse_root: float
-    ratios: tuple[float, ...]
-
-
-def singularity_probe(max_n: int = 30) -> SingularityProbe:
-    if max_n < 2:
-        raise ValueError("need max_n >= 2")
-
-    def g(x: float) -> float:
-        return x + 3.0 - 2.0 * math.exp(x)
-
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        value = g(mid)
-        if abs(value) <= 1e-12 or hi - lo < 1e-15:
-            break
-        if value > 0:
-            lo = mid
-        else:
-            hi = mid
-    ratios = tuple(
-        float(Fraction(q_recurrence(n + 1), (n + 1) * q_recurrence(n)))
-        for n in range(1, max_n)
-    )
-    return SingularityProbe(root=mid, inverse_root=1.0 / mid, ratios=ratios)
-
-
 # --- the sequence registry -----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Sequence:
-    """One counted sequence and every route to its terms.
+    """One counted sequence, every route to its terms, and its published terms.
 
     `derivations` maps a method name to a pure-arithmetic function; the first
     one is the default.  The enumeration route counts
@@ -442,7 +392,12 @@ class Sequence:
     is the first index of the brute-force route and the name of the `oracle`
     search behind it, called with n alone; a name, looked up per call, so a
     wrapper installed in `oracle` after import is the one called.  Every route
-    is valid only for n >= `start`.
+    is valid only for n >= `start`.  `published` maps n to a published term
+    (`oeis` names the source) that `verify` holds the default derivation to.
+
+    A row states no verify ranges: each `verify` check runs its routes of
+    every row up to one n of its own, and `route_values` skips a route that
+    cannot reach that far.
     """
 
     derivations: dict[str, Callable[[int], int]]
@@ -452,6 +407,7 @@ class Sequence:
     bruteforce: tuple[int, str] | None = None
     oeis: str | None = None
     start: int = 0
+    published: dict[int, int] = field(default_factory=dict)
 
 
 _MONOTONE = "monotone-for-reference"
@@ -465,39 +421,46 @@ SEQUENCES: dict[str, Sequence] = {
     "q": Sequence(
         {"closed": q_closed, "recurrence": q_recurrence, "egf": q_egf, "appendix": q_appendix},
         "qt-semigroups", bruteforce=(1, "brute_count_quasitrivial_associative"),
-        oeis="A292932",
+        oeis="A292932", published={6: 12166},
     ),
     "q_e": Sequence({"closed": q_neutral}, "qt-semigroups", frozenset({"neutral"}),
-                    oeis="A292933"),
+                    oeis="A292933", published={6: 7092}),
     "q_a": Sequence({"closed": q_annihilator}, "qt-semigroups", frozenset({"annihilator"}),
-                    oeis="A292933"),
+                    oeis="A292933", published={6: 7092}),
     "q_ea": Sequence({"closed": q_both}, "qt-semigroups",
-                     frozenset({"neutral-and-annihilator-distinct"}), oeis="A292934"),
+                     frozenset({"neutral-and-annihilator-distinct"}), oeis="A292934",
+                     published={6: 4140}),
     "p": Sequence(
         {"closed": ordered_bell_formula, "recurrence": ordered_bell, "egf": ordered_bell_egf},
-        "weak-orders", enumeration_start=0, oeis="A000670",
+        "weak-orders", enumeration_start=0, oeis="A000670", published={6: 4683},
     ),
     "u": Sequence({"closed": u_closed, "recurrence": u_recurrence, "gf": u_gf},
-                  "weakly-single-peaked-weak-orders", oeis="A048739 (shifted)"),
+                  "weakly-single-peaked-weak-orders", oeis="A048739 (shifted)",
+                  published={6: 119}),
     "u_e": Sequence({"closed": u_e_closed, "recurrence": u_e_recurrence, "gf": u_e_gf},
                     "weakly-single-peaked-weak-orders", frozenset({"unique-min"}),
-                    oeis="A000129"),
+                    oeis="A000129", published={6: 70}),
     "u_a": Sequence({"closed": u_a}, "weakly-single-peaked-weak-orders",
-                    frozenset({"unique-max"}), enumeration_start=2, oeis="A293004"),
+                    frozenset({"unique-max"}), enumeration_start=2, oeis="A293004",
+                    published={6: 98}),
     "u_ea": Sequence({"closed": u_ea}, "weakly-single-peaked-weak-orders",
-                     frozenset({"unique-min-and-max-distinct"}), oeis="A163271 (shifted)"),
+                     frozenset({"unique-min-and-max-distinct"}), oeis="A163271 (shifted)",
+                     published={6: 58}),
     "v": Sequence({"closed": v_closed, "recurrence": v_recurrence, "gf": v_gf},
-                  "qt-semigroups", frozenset({_MONOTONE}), oeis="A293005"),
+                  "qt-semigroups", frozenset({_MONOTONE}), oeis="A293005",
+                  published={6: 258}),
     "v_e": Sequence({"closed": v_e_closed, "recurrence": v_e_recurrence, "gf": v_e_gf},
-                    "qt-semigroups", frozenset({_MONOTONE, "neutral"}), oeis="A002605"),
+                    "qt-semigroups", frozenset({_MONOTONE, "neutral"}), oeis="A002605",
+                    published={6: 120}),
     "v_a": Sequence({"closed": v_a}, "qt-semigroups", frozenset({_MONOTONE, "annihilator"}),
-                    enumeration_start=2, oeis="A293006"),
+                    enumeration_start=2, oeis="A293006", published={6: 188}),
     "v_ea": Sequence({"closed": v_ea}, "qt-semigroups",
                      frozenset({_MONOTONE, "neutral-and-annihilator-distinct"}),
-                     oeis="A293007"),
-    "sp": Sequence({"closed": single_peaked_count}, "single-peaked-total-orders", start=1),
+                     oeis="A293007", published={6: 88}),
+    "sp": Sequence({"closed": single_peaked_count}, "single-peaked-total-orders", start=1,
+                   published={6: 32}),
     "comm": Sequence({"closed": commutative_count}, "qt-semigroups",
-                     frozenset({"commutative"}), start=1),
+                     frozenset({"commutative"}), start=1, published={6: 720}),
 }
 
 # The derivation dicts themselves, so that replacing an entry here replaces
@@ -505,6 +468,7 @@ SEQUENCES: dict[str, Sequence] = {
 METHODS: dict[str, dict[str, Callable[[int], int]]] = {
     name: seq.derivations for name, seq in SEQUENCES.items()
 }
+
 
 def count_by_enumeration(name: str, n: int) -> int:
     """The sequence value by direct generation and filtering.
@@ -540,6 +504,26 @@ def routes(name: str, n: int) -> dict[str, tuple[int, Callable[[int], int]]]:
         first, search = seq.bruteforce
         found["bruteforce"] = (first, lambda m: getattr(oracle, search)(m))
     return found
+
+
+def route_values(
+    name: str, n: int, methods: Collection[str] | None = None
+) -> Iterator[tuple[str, int]]:
+    """(method, name(n)) for each route in `routes` order, or for each of
+    `methods` only, computed as the caller iterates.
+
+    This is the one skip rule for running several routes: a route is skipped
+    below its first index, or when it raises CapacityError (past what it can
+    search).  Any other error propagates.
+    """
+    for method, (first, fn) in routes(name, n).items():
+        if n < first or (methods is not None and method not in methods):
+            continue
+        try:
+            value = fn(n)
+        except CapacityError:
+            continue
+        yield method, value
 
 
 def route(name: str, n: int, method: str | None = None) -> tuple[str, Callable[[int], int]]:

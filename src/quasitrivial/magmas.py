@@ -219,13 +219,3 @@ def rectangle_associativity_test(f: FiniteBinOp) -> bool:
                     if off[0] != off[1] and off[0] != off[2] and off[1] != off[2]:
                         return False
     return True
-
-
-def random_idempotent_table(n: int, rng) -> FiniteBinOp:
-    """A uniform random table with the diagonal fixed at F(x,x) = x."""
-    rows = []
-    for x in range(1, n + 1):
-        row = [rng.randint(1, n) for _ in range(n)]
-        row[x - 1] = x
-        rows.append(tuple(row))
-    return FiniteBinOp(tuple(rows))

@@ -140,9 +140,6 @@ class TotalOrder:
         n = self.n
         return TotalOrder(tuple(n + 1 - r for r in self.ranks))
 
-    def as_weak(self) -> WeakOrder:
-        return WeakOrder(self.ranks)
-
     def __str__(self) -> str:
         return " < ".join(str(x) for x in self.ordered_elements())
 
@@ -169,11 +166,6 @@ def is_convex(t: TotalOrder, subset: Iterable[int]) -> bool:
 def is_single_peaked(t: TotalOrder, p: TotalOrder) -> bool:
     """True iff the t-middle of any three elements is never ranked last by p."""
     return _peaked(t, p.ranks, strict=True)
-
-
-def is_dual_single_peaked(t: TotalOrder, p: TotalOrder) -> bool:
-    """Dual variant: the t-middle of any three elements is never ranked first."""
-    return _peaked(t, tuple(-r for r in p.ranks), strict=True)
 
 
 def is_weakly_single_peaked(t: TotalOrder, w: WeakOrder) -> bool:

@@ -127,10 +127,9 @@ def _ranks_from_levels(levels: list[int]) -> WeakOrder:
     return WeakOrder(tuple(order[v] for v in levels))
 
 
-def induced_weak_order(f: FiniteBinOp) -> WeakOrder:
-    """The unique weak ordering of the factorization, read off pairwise:
-    x is weakly below y iff F(x,y) = y or F(y,x) = y."""
-    _require_decomposable(f)
+def _pairwise_levels(f: FiniteBinOp) -> list[int]:
+    """For each element, how many elements lie strictly below it, read off
+    pairwise; f must already be known decomposable."""
     n = f.n
     below = [0] * n
     for x in range(1, n + 1):
@@ -141,7 +140,14 @@ def induced_weak_order(f: FiniteBinOp) -> WeakOrder:
                 below[y - 1] += 1
             elif le_yx and not le_xy:
                 below[x - 1] += 1
-    return _ranks_from_levels(below)
+    return below
+
+
+def induced_weak_order(f: FiniteBinOp) -> WeakOrder:
+    """The unique weak ordering of the factorization, read off pairwise:
+    x is weakly below y iff F(x,y) = y or F(y,x) = y."""
+    _require_decomposable(f)
+    return _ranks_from_levels(_pairwise_levels(f))
 
 
 def _degrees(f: FiniteBinOp) -> list[int]:
@@ -162,8 +168,9 @@ def decompose(f: FiniteBinOp) -> KimuraDecomposition:
     The ordering is derived pairwise and cross-validated against the degree
     route; a mismatch can only indicate a bug and raises ConsistencyError.
     """
-    order = induced_weak_order(f)
-    if order != weak_order_from_degrees(f):
+    _require_decomposable(f)
+    order = _ranks_from_levels(_pairwise_levels(f))
+    if order != _ranks_from_levels(_degrees(f)):
         raise ConsistencyError("pairwise and degree-based orderings disagree")
     sides = {}
     for rank, block in enumerate(order.classes(), start=1):
@@ -191,14 +198,15 @@ def commutative_characterization(f: FiniteBinOp) -> TotalOrder | None:
     (0, 2, ..., 2n-2), with the ordering read from the degrees.
     """
     n = f.n
+    quasitrivial = is_quasitrivial(f)
     via_structure = None
-    if is_quasitrivial(f) and is_commutative(f) and is_associative(f):
-        order = induced_weak_order(f)
+    if quasitrivial and is_commutative(f) and is_associative(f):
+        order = _ranks_from_levels(_pairwise_levels(f))
         if not order.is_total():
             raise ConsistencyError("commutative factorization has a fat class")
         via_structure = order.to_total()
     via_degrees = None
-    if is_quasitrivial(f):
+    if quasitrivial:
         degrees = _degrees(f)
         if sorted(degrees) == list(range(0, 2 * n, 2)):
             via_degrees = _ranks_from_levels(degrees).to_total()

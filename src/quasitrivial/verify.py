@@ -1,10 +1,14 @@
 """Self-checks wiring the whole package together.
 
-`quick` cross-checks every sequence derivation against the others and against
-direct enumeration for small n, plus published reference values.  `full` adds
-the raw brute-force searches and the exhaustive structural equivalences.
-Failures name the sequence and index (or the offending object) so a single
-tampered constant is pinpointed.
+`quick` holds every route of each `counting.SEQUENCES` row to its default
+derivation for small n: every derivation, then direct enumeration, and the
+default derivation to the row's published terms.  `full` adds the brute-force
+routes and the exhaustive structural equivalences.  The route checks read the
+rows and run their routes through `counting.route_values`, as
+`count --method all` does, so a new row is checked without an edit here; each
+check states which routes it runs and up to which n.  Failures name the
+sequence and index (or the offending object) so a single tampered constant is
+pinpointed.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from itertools import product
 from typing import Callable, Iterator
 
 from . import counting, oracle
-from .counting import count_by_enumeration
 from .enumeration import FamilySpec, generate, kimura_decompositions, total_orders, weak_orders
 from .errors import ConsistencyError
 from .magmas import (
@@ -28,24 +31,10 @@ from .magmas import (
 from .orders import TotalOrder, is_single_peaked, is_weakly_single_peaked, profile_patterns
 from .structure import build, decompose
 
-# Published values (see the OEIS ids in `counting.SEQUENCES`) pinning n = 6.
-REFERENCE_VALUES = {
-    ("q", 6): 12166,
-    ("q_e", 6): 7092,
-    ("q_a", 6): 7092,
-    ("q_ea", 6): 4140,
-    ("p", 6): 4683,
-    ("u", 6): 119,
-    ("u_e", 6): 70,
-    ("u_a", 6): 98,
-    ("u_ea", 6): 58,
-    ("v", 6): 258,
-    ("v_e", 6): 120,
-    ("v_a", 6): 188,
-    ("v_ea", 6): 88,
-    ("sp", 6): 32,
-    ("comm", 6): 720,
-}
+# `count_by_enumeration` is no longer called here; it stays in this namespace
+# because the benchmark's tracer (perfbench/tracer.py) wraps
+# `verify.count_by_enumeration`.
+from .counting import count_by_enumeration  # noqa: F401
 
 
 class CheckFailure(Exception):
@@ -59,51 +48,72 @@ class CheckResult:
     detail: str
 
 
-def _check_method_agreement() -> str:
+def _hold_to_default(kind: str, upto: int, mismatch: str) -> list[tuple[str, int, int]]:
+    """Run route `kind` ("derivations" for all of them) of every sequence at
+    each n from its start to `upto`, skipping as `counting.route_values` does,
+    and hold each value to the default derivation's.
+
+    A value that differs fails the check with `mismatch`, formatted with
+    name, n, method, value and expected; a ConsistencyError from any route
+    fails it with its own message.  Returns (name, n, value) of every value
+    checked.
+    """
+    checked = []
     for name, seq in counting.SEQUENCES.items():
-        for n in range(seq.start, 7):
-            first = None
-            for method, fn in seq.derivations.items():
-                try:
-                    value = fn(n)
-                except ConsistencyError as exc:
-                    raise CheckFailure(str(exc)) from None
-                if first is None:
-                    first = value
-                if value != first:
-                    raise CheckFailure(
-                        f"{name}({n}): {method} gives {value}, earlier method gave {first}"
-                    )
-    return "all derivations of every sequence agree for n <= 6"
+        default = next(iter(seq.derivations))
+        methods = seq.derivations if kind == "derivations" else (kind,)
+        for n in range(seq.start, upto + 1):
+            expected = None
+            try:
+                for method, value in counting.route_values(name, n, methods):
+                    if expected is None:
+                        # computed only when some route reaches n
+                        expected = value if method == default else counting.sequence_value(name, n)
+                    if value != expected:
+                        raise CheckFailure(mismatch.format(
+                            name=name, n=n, method=method, value=value, expected=expected
+                        ))
+                    checked.append((name, n, value))
+            except ConsistencyError as exc:
+                raise CheckFailure(str(exc)) from None
+    return checked
 
 
-def _check_reference_values() -> str:
-    for (name, n), expected in REFERENCE_VALUES.items():
-        got = counting.sequence_value(name, n)
-        if got != expected:
-            raise CheckFailure(f"{name}({n}) = {got}, published value is {expected}")
-    return f"{len(REFERENCE_VALUES)} published values reproduced"
+def _check_method_agreement() -> str:
+    upto = 6
+    _hold_to_default(
+        "derivations", upto, "{name}({n}): {method} gives {value}, earlier method gave {expected}"
+    )
+    return f"all derivations of every sequence agree for n <= {upto}"
+
+
+def _check_published_values() -> str:
+    checked = 0
+    for name, seq in counting.SEQUENCES.items():
+        for n, expected in seq.published.items():
+            got = counting.sequence_value(name, n)
+            if got != expected:
+                raise CheckFailure(f"{name}({n}) = {got}, published value is {expected}")
+            checked += 1
+    return f"{checked} published values reproduced"
 
 
 def _check_enumeration_agreement() -> str:
-    for name, seq in counting.SEQUENCES.items():
-        for n in range(seq.enumeration_start, 6):
-            formula = counting.sequence_value(name, n)
-            enumerated = count_by_enumeration(name, n)
-            if formula != enumerated:
-                raise CheckFailure(
-                    f"{name}({n}): formula gives {formula}, enumeration gives {enumerated}"
-                )
-    return "formulas match direct enumeration for every sequence, n <= 5"
+    upto = 5
+    _hold_to_default(
+        "enumerate", upto, "{name}({n}): formula gives {expected}, enumeration gives {value}"
+    )
+    return f"formulas match direct enumeration for every sequence, n <= {upto}"
 
 
 def _check_oracle_counts() -> str:
-    for n in range(1, 6):
-        brute = oracle.brute_count_quasitrivial_associative(n)
-        expected = counting.q_recurrence(n)
-        if brute != expected:
-            raise CheckFailure(f"raw search gives q({n}) = {brute}, expected {expected}")
-    return f"raw table search reproduces q(n) for n <= 5 (q(5) oracle = {brute})"
+    upto = 5
+    checked = _hold_to_default(
+        "bruteforce", upto, "raw search gives {name}({n}) = {value}, expected {expected}"
+    )
+    names = ", ".join(f"{name}(n)" for name in dict.fromkeys(name for name, _, _ in checked))
+    name, n, value = checked[-1]
+    return f"raw table search reproduces {names} for n <= {upto} ({name}({n}) oracle = {value})"
 
 
 def _check_lemma_searches() -> str:
@@ -214,7 +224,7 @@ def _check_theorem_counts() -> str:
 
 QUICK_CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("method-agreement", _check_method_agreement),
-    ("published-values", _check_reference_values),
+    ("published-values", _check_published_values),
     ("enumeration-agreement", _check_enumeration_agreement),
 )
 

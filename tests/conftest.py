@@ -3,8 +3,10 @@ the suite, exhaustive table generators, the plain references that the
 pruned searches are compared with (the factorial filter for the
 monotonizing-order search, the exhaustive mask loop for the oracle's raw
 quasitrivial search, and the `Fraction` series division for the scaled-integer
-one), the published rows of the q, u and v families, and one session-wide run
-of each `verify full` check.
+one), the alternating-sum Stirling numbers, random idempotent tables, total
+orderings as weak ones and dual single-peakedness by definition, the published
+rows of the q, u and v families, and one session-wide run of each
+`verify full` check.
 
 The X4 and X6 tables are transcriptions of known contour-plot examples; each
 fixture's defining properties (associativity, quasitriviality, degrees,
@@ -12,9 +14,10 @@ ordering, monotonicity) are asserted in the test modules, so a transcription
 slip cannot pass silently.
 """
 
+import math
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -124,6 +127,42 @@ def series_coefficient_by_fractions(numerator, denominator, n):
             acc -= denominator[j] * seq[m - j]
         seq.append(acc / denominator[0])
     return seq[n]
+
+
+def stirling2_explicit(n, k):
+    """S(n, k) by the alternating sum (1/k!) sum (-1)^(k-i) C(k,i) i^n, the
+    division asserted exact."""
+    if not 0 <= k <= n:
+        raise ValueError(f"stirling2 needs 0 <= k <= n, got ({n}, {k})")
+    total = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
+    quotient, remainder = divmod(total, math.factorial(k))
+    assert remainder == 0, (n, k)
+    return quotient
+
+
+def random_idempotent_table(n, rng):
+    """A uniform random table with the diagonal fixed at F(x,x) = x."""
+    rows = []
+    for x in range(1, n + 1):
+        row = [rng.randint(1, n) for _ in range(n)]
+        row[x - 1] = x
+        rows.append(tuple(row))
+    return FiniteBinOp(tuple(rows))
+
+
+def as_weak(t):
+    """The total ordering t as a weak ordering with singleton classes."""
+    return WeakOrder(t.ranks)
+
+
+def is_dual_single_peaked(t, p):
+    """By definition: of any three elements, the t-middle one is never ranked
+    first by p."""
+    rank = p.ranks
+    return not any(
+        rank[b - 1] < rank[a - 1] and rank[b - 1] < rank[c - 1]
+        for a, b, c in combinations(t.ordered_elements(), 3)
+    )
 
 
 # Published rows of the q, u and v families for n = 0..6 (cf. the OEIS ids in

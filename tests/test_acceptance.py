@@ -11,19 +11,21 @@ order-of-magnitude margin here).  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
 from quasitrivial import counting as C
 from quasitrivial import verify
 from quasitrivial.enumeration import kimura_decompositions
-from quasitrivial.magmas import degree_sequence, f_degree, random_idempotent_table
+from quasitrivial.magmas import degree_sequence, f_degree
 from quasitrivial.structure import build, induced_weak_order
 
-from conftest import TABLE_Q, TABLE_U, TABLE_V
+from conftest import TABLE_Q, TABLE_U, TABLE_V, random_idempotent_table
 
 # Each `verify full` check: the criterion it holds (None if it holds no
 # numbered one) and its budget in seconds, the criterion's where there is one.
@@ -151,17 +153,40 @@ def test_criterion_11_degree_machinery():
             assert sum(degree_sequence(f)) == n * (n - 1)
 
 
+def _exp_bounds(x, terms=60):
+    """Fractions lo <= e^x <= hi for 0 <= x <= 1: the Taylor sum S of degree
+    `terms`, and S plus 3 x^(terms+1) / (terms+1)!, which exceeds the tail."""
+    total, term = Fraction(0), Fraction(1)
+    for k in range(terms + 1):
+        total += term
+        term = term * x / (k + 1)
+    return total, total + 3 * x ** (terms + 1) / math.factorial(terms + 1)
+
+
 def test_criterion_12_singularity_probe():
-    with criterion("criterion 12: singularity probe: root located, ratios printed", 10.0):
-        probe = C.singularity_probe(30)
-        assert abs(probe.root - 0.583) < 1e-3
-        assert abs(probe.inverse_root - 1.715) < 1e-3
-        print()
-        print(f"  root = {probe.root:.12f}   1/root = {probe.inverse_root:.12f}")
-        for n, ratio in enumerate(probe.ratios, start=1):
-            print(f"  growth ratio at n={n:2d}: {ratio:.9f}")
-        # the ratios converge to 1/root (Flajolet & Sedgewick, Analytic
-        # Combinatorics, 2009, Thm IV.10); that limit is not asserted here
+    # The egf 1/(z + 3 - 2e^z) of q has a simple pole at rho, the zero of
+    # z + 3 - 2e^z in [1/2, 3/5], and no other singularity in |z| < 2.8887, so
+    # q(n) (rho+2) rho^(n+1) / n! = 1 + O((rho/2.8887)^n) (Flajolet &
+    # Sedgewick, Analytic Combinatorics, 2009, Thm IV.10).  Everything below
+    # is exact: rho is bracketed in [a, b] by bisection with e^x bounded on
+    # both sides, and the normalised terms are compared as Fractions.
+    with criterion("criterion 12: q(n) n!-normalised at the singularity, n <= 40", 10.0):
+        a, b = Fraction(1, 2), Fraction(3, 5)
+        for _ in range(100):
+            mid = (a + b) / 2
+            lo, hi = _exp_bounds(mid)
+            if mid + 3 - 2 * hi > 0:
+                a = mid
+            else:
+                assert mid + 3 - 2 * lo < 0, "bisection cannot decide the sign"
+                b = mid
+        assert b - a < Fraction(1, 10**31)
+        for n in range(1, 41):
+            bound = (b / Fraction("2.8887")) ** n
+            scale = Fraction(C.q_recurrence(n), math.factorial(n))
+            assert 1 - bound <= scale * (a + 2) * a ** (n + 1), n
+            assert scale * (b + 2) * b ** (n + 1) <= 1 + bound, n
+        print(f"\n  rho in [{float(a):.15f}, {float(b):.15f}], width {float(b - a):.1e}")
 
 
 def test_criterion_13_method_agreement_sweep():

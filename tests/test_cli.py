@@ -453,6 +453,51 @@ class TestVerify:
             assert f"FAIL method-agreement: {detail}" in out.splitlines()
             assert "of 3 checks failed" in err
 
+    @staticmethod
+    def add_q_copy(monkeypatch, search="brute_count_quasitrivial_associative", published=12166):
+        """A new `SEQUENCES` row, q_copy: q's derivations (a copy of the
+        dict), a brute-force route by `search` and a published n = 6 term."""
+        q = counting.SEQUENCES["q"]
+        row = counting.Sequence(
+            dict(q.derivations), q.family, bruteforce=(1, search), published={6: published}
+        )
+        monkeypatch.setitem(counting.SEQUENCES, "q_copy", row)
+        return row
+
+    def test_new_registry_row_is_checked(self, monkeypatch):
+        row = self.add_q_copy(monkeypatch)
+        indices = []
+
+        def recorded(n):
+            indices.append(n)
+            return counting.q_recurrence(n)
+
+        row.derivations["recurrence"] = recorded
+        checks = dict(verify.FULL_CHECKS)
+        assert checks["published-values"]() == "16 published values reproduced"
+        assert checks["method-agreement"]() == "all derivations of every sequence agree for n <= 6"
+        assert indices == list(range(7))
+        assert checks["oracle-counts"]() == (
+            "raw table search reproduces q(n), q_copy(n) for n <= 5 (q_copy(5) oracle = 1182)"
+        )
+
+    def test_new_registry_row_fails_naming_row_and_index(self, monkeypatch):
+        checks = dict(verify.FULL_CHECKS)
+        with monkeypatch.context() as patch:
+            self.add_q_copy(patch, published=12167)
+            with pytest.raises(verify.CheckFailure) as info:
+                checks["published-values"]()
+        assert str(info.value) == "q_copy(6) = 12166, published value is 12167"
+
+        def tampered(n):
+            return counting.q_recurrence(n) + (n == 3)
+
+        monkeypatch.setattr("quasitrivial.oracle.tampered_search", tampered, raising=False)
+        self.add_q_copy(monkeypatch, search="tampered_search")
+        with pytest.raises(verify.CheckFailure) as info:
+            checks["oracle-counts"]()
+        assert str(info.value) == "raw search gives q_copy(3) = 21, expected 20"
+
 
 class TestSubprocess:
     def test_module_entry_point(self):

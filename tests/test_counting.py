@@ -1,4 +1,4 @@
-"""Counting: golden tables, cross-method agreement, series, diagnostics."""
+"""Counting: golden tables, cross-method agreement, series, the registry."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,13 @@ import pytest
 from quasitrivial import CapacityError, ConsistencyError
 from quasitrivial import counting as C
 
-from conftest import TABLE_Q, TABLE_U, TABLE_V, series_coefficient_by_fractions
+from conftest import (
+    TABLE_Q,
+    TABLE_U,
+    TABLE_V,
+    series_coefficient_by_fractions,
+    stirling2_explicit,
+)
 
 
 def brute_force_stirling(n, k):
@@ -44,8 +50,8 @@ class TestBasics:
     def test_stirling_two_derivations_agree(self):
         for n in range(31):
             for k in range(0, n + 1, max(1, n // 5)):
-                assert C.stirling2(n, k) == C.stirling2_explicit(n, k)
-        assert C.stirling2(600, 300) == C.stirling2_explicit(600, 300)  # past the stack limit
+                assert C.stirling2(n, k) == stirling2_explicit(n, k)
+        assert C.stirling2(600, 300) == stirling2_explicit(600, 300)  # past the stack limit
 
     def test_stirling_range_check(self):
         with pytest.raises(ValueError):
@@ -241,26 +247,6 @@ class TestRationalGf:
     def test_rejects_zero_constant_denominator(self):
         with pytest.raises(ValueError):
             C.rational_gf_term((1,), (0, 1), 3)
-
-
-class TestSingularityProbe:
-    def test_root_location(self):
-        probe = C.singularity_probe(30)
-        assert abs(probe.root - 0.583) < 1e-3
-        assert abs(probe.inverse_root - 1.715) < 1e-3
-        # the defining equation is satisfied to tight residual
-        assert abs(probe.root + 3 - 2 * math.exp(probe.root)) <= 1e-12
-
-    def test_ratio_table_reported_without_convergence_claim(self):
-        probe = C.singularity_probe(30)
-        assert len(probe.ratios) == 29
-        assert all(r > 0 for r in probe.ratios)
-        # deliberately NO assertion that ratios approach 1/root: that limit
-        # is an open conjecture, printed for inspection only
-
-    def test_rejects_tiny_range(self):
-        with pytest.raises(ValueError):
-            C.singularity_probe(1)
 
 
 class TestRegistry:

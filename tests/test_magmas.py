@@ -20,9 +20,14 @@ from quasitrivial import (
     neutral_elements,
     rectangle_associativity_test,
 )
-from quasitrivial.magmas import order_preserving_by_definition, random_idempotent_table
+from quasitrivial.magmas import order_preserving_by_definition
 
-from conftest import all_commutative_quasitrivial_tables, all_quasitrivial_tables, all_tables
+from conftest import (
+    all_commutative_quasitrivial_tables,
+    all_quasitrivial_tables,
+    all_tables,
+    random_idempotent_table,
+)
 
 
 class TestTableType:

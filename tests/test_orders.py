@@ -18,7 +18,8 @@ from quasitrivial import (
     strict_convex_hull,
 )
 from quasitrivial.enumeration import weak_orders
-from quasitrivial.orders import is_dual_single_peaked
+
+from conftest import as_weak, is_dual_single_peaked
 
 
 def order(*elements) -> TotalOrder:
@@ -53,7 +54,7 @@ class TestTypes:
 
     def test_total_weak_roundtrip(self):
         t = order(2, 1, 3)
-        assert t.as_weak().to_total() == t
+        assert as_weak(t).to_total() == t
         assert weak(1, 2, 3).is_total()
         assert not weak(1, 1, 2).is_total()
         with pytest.raises(ValueError):
@@ -176,7 +177,7 @@ class TestWeaklySinglePeaked:
             t = TotalOrder.natural(n)
             for p in permutations(range(1, n + 1)):
                 cand = order(*p)
-                assert is_single_peaked(t, cand) == is_weakly_single_peaked(t, cand.as_weak())
+                assert is_single_peaked(t, cand) == is_weakly_single_peaked(t, as_weak(cand))
 
     def test_listed_weak_orderings_on_three_elements(self):
         t = TotalOrder.natural(3)
@@ -225,7 +226,7 @@ class TestValleyFree:
         for p in permutations(range(1, 6)):
             cand = order(*p)
             if is_single_peaked(t, cand):
-                assert is_valley_free(t, cand.as_weak())
+                assert is_valley_free(t, as_weak(cand))
 
     def test_agrees_with_lower_set_convexity(self):
         for n in range(1, 7):
@@ -294,7 +295,7 @@ class TestProfilePatterns:
         assert (flags.v_free, flags.l_free, flags.reversed_l_free) == (False, False, False)
 
     def test_two_local_maxima_orders_are_not_valley_free(self):
-        w = order(6, 5, 2, 1, 3, 4).as_weak()
+        w = as_weak(order(6, 5, 2, 1, 3, 4))
         flags = profile_patterns(TotalOrder.natural(6), w)
         assert not flags.v_free
         assert flags.l_free and flags.reversed_l_free  # no plateaus in a total order

@@ -8,6 +8,8 @@ from quasitrivial import FiniteBinOp, TotalOrder, WeakOrder, profile_patterns
 from quasitrivial.enumeration import weak_orders
 from quasitrivial.render import FORMATS, ContourPlot, ProfilePlot, render_contour, render_profile
 
+from conftest import as_weak
+
 
 class TestContourAscii:
     def test_max_grid(self):
@@ -91,7 +93,7 @@ class TestProfileAscii:
         )
 
     def test_single_peaked_total_order_profile(self):
-        w = TotalOrder.from_ordered_elements([4, 3, 5, 2, 1, 6]).as_weak()
+        w = as_weak(TotalOrder.from_ordered_elements([4, 3, 5, 2, 1, 6]))
         got = render_profile(TotalOrder.natural(6), w)
         assert got.endswith("violations: none\n")
         # strictly single-peaked: one star per row, none repeated
