@@ -140,6 +140,32 @@ def stirling2_explicit(n, k):
     return quotient
 
 
+def exp_bounds(x, terms=60):
+    """Fractions lo <= e^x <= hi for 0 <= x <= 1: the Taylor sum S of degree
+    `terms`, and S plus 3 x^(terms+1) / (terms+1)!, which exceeds the tail."""
+    total, term = Fraction(0), Fraction(1)
+    for k in range(terms + 1):
+        total += term
+        term = term * x / (k + 1)
+    return total, total + 3 * x ** (terms + 1) / math.factorial(terms + 1)
+
+
+def singularity_bracket(steps=100):
+    """Fractions a < b bracketing rho, the zero of z + 3 - 2e^z in [1/2, 3/5]
+    (the pole of q's egf 1/(z + 3 - 2e^z)), by `steps` exact bisection steps
+    with e^z bounded on both sides by `exp_bounds`."""
+    a, b = Fraction(1, 2), Fraction(3, 5)
+    for _ in range(steps):
+        mid = (a + b) / 2
+        lo, hi = exp_bounds(mid)
+        if mid + 3 - 2 * hi > 0:
+            a = mid
+        else:
+            assert mid + 3 - 2 * lo < 0, "bisection cannot decide the sign"
+            b = mid
+    return a, b
+
+
 def random_idempotent_table(n, rng):
     """A uniform random table with the diagonal fixed at F(x,x) = x."""
     rows = []

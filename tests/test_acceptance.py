@@ -25,7 +25,7 @@ from quasitrivial.enumeration import kimura_decompositions
 from quasitrivial.magmas import degree_sequence, f_degree
 from quasitrivial.structure import build, induced_weak_order
 
-from conftest import TABLE_Q, TABLE_U, TABLE_V, random_idempotent_table
+from conftest import TABLE_Q, TABLE_U, TABLE_V, random_idempotent_table, singularity_bracket
 
 # Each `verify full` check: the criterion it holds (None if it holds no
 # numbered one) and its budget in seconds, the criterion's where there is one.
@@ -153,16 +153,6 @@ def test_criterion_11_degree_machinery():
             assert sum(degree_sequence(f)) == n * (n - 1)
 
 
-def _exp_bounds(x, terms=60):
-    """Fractions lo <= e^x <= hi for 0 <= x <= 1: the Taylor sum S of degree
-    `terms`, and S plus 3 x^(terms+1) / (terms+1)!, which exceeds the tail."""
-    total, term = Fraction(0), Fraction(1)
-    for k in range(terms + 1):
-        total += term
-        term = term * x / (k + 1)
-    return total, total + 3 * x ** (terms + 1) / math.factorial(terms + 1)
-
-
 def test_criterion_12_singularity_probe():
     # The egf 1/(z + 3 - 2e^z) of q has a simple pole at rho, the zero of
     # z + 3 - 2e^z in [1/2, 3/5], and no other singularity in |z| < 2.8887, so
@@ -171,15 +161,7 @@ def test_criterion_12_singularity_probe():
     # is exact: rho is bracketed in [a, b] by bisection with e^x bounded on
     # both sides, and the normalised terms are compared as Fractions.
     with criterion("criterion 12: q(n) n!-normalised at the singularity, n <= 40", 10.0):
-        a, b = Fraction(1, 2), Fraction(3, 5)
-        for _ in range(100):
-            mid = (a + b) / 2
-            lo, hi = _exp_bounds(mid)
-            if mid + 3 - 2 * hi > 0:
-                a = mid
-            else:
-                assert mid + 3 - 2 * lo < 0, "bisection cannot decide the sign"
-                b = mid
+        a, b = singularity_bracket()
         assert b - a < Fraction(1, 10**31)
         for n in range(1, 41):
             bound = (b / Fraction("2.8887")) ** n

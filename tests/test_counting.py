@@ -12,7 +12,9 @@ from conftest import (
     TABLE_Q,
     TABLE_U,
     TABLE_V,
+    exp_bounds,
     series_coefficient_by_fractions,
+    singularity_bracket,
     stirling2_explicit,
 )
 
@@ -247,6 +249,20 @@ class TestRationalGf:
     def test_rejects_zero_constant_denominator(self):
         with pytest.raises(ValueError):
             C.rational_gf_term((1,), (0, 1), 3)
+
+
+class TestSingularityProbe:
+    def test_root_location(self):
+        a, b = singularity_bracket()
+        assert Fraction(1, 2) < a < b < Fraction(3, 5)
+        assert b - a < Fraction(1, 10**31)
+        # z + 3 - 2e^z changes sign across [a, b], with e^z bounded exactly
+        assert a + 3 - 2 * exp_bounds(a)[1] > 0
+        assert b + 3 - 2 * exp_bounds(b)[0] < 0
+        root = float(a)
+        assert abs(root - 0.583) < 1e-3
+        assert abs(1 / root - 1.715) < 1e-3
+        assert abs(root + 3 - 2 * math.exp(root)) <= 1e-12
 
 
 class TestRegistry:
