@@ -24,13 +24,20 @@ from .formats import (
     emit_total_order,
     emit_weak_order,
     load_table,
+    parse_listing,
     parse_total_order,
     parse_weak_order,
 )
 from .magmas import is_order_preserving
 from .orders import TotalOrder
 from .render import FORMATS, render_contour, render_profile
-from .structure import TableProperties, classify, decompose, exists_monotonizing_order
+from .structure import (
+    TableProperties,
+    _decomposition,
+    classify,
+    decompose,
+    exists_monotonizing_order,
+)
 
 # `enumerate` writes its listing this many lines at a time, never whole
 ENUMERATE_CHUNK_LINES = 2048
@@ -62,8 +69,13 @@ def _write_output(text: str, path: str | None) -> None:
         out.write(text)
 
 
-def _parse_order_flag(payload: str, n: int) -> TotalOrder:
-    return parse_total_order(f"totalorder {n} : {payload}")
+def _parse_order_flag(flag: str, payload: str, n: int) -> TotalOrder:
+    """The ordering given as the value of `flag`, elements smallest first; a
+    diagnostic names the flag and points into its value."""
+    try:
+        return parse_listing(payload, n)
+    except ParseError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cmd_count(args) -> int:
@@ -97,7 +109,7 @@ def _cmd_enumerate(args) -> int:
 
 def _reference_for(args, n: int) -> TotalOrder:
     if getattr(args, "reference", None):
-        return _parse_order_flag(args.reference, n)
+        return _parse_order_flag("--reference", args.reference, n)
     return TotalOrder.natural(n)
 
 
@@ -108,8 +120,7 @@ def _cmd_check(args) -> int:
     out = emit_properties(properties, is_order_preserving(f, reference))
     if args.find_order:
         # a factorization lists the orderings directly, at any n
-        decomposable = properties.associative and properties.quasitrivial
-        found = exists_monotonizing_order(f, decompose(f) if decomposable else None)
+        found = exists_monotonizing_order(f, _decomposition(f, properties))
         if found is None:
             total = math.factorial(f.n)
             out += f"no order-preserving total ordering exists ({total}/{total} rejected)\n"
@@ -143,7 +154,7 @@ def _cmd_render(args) -> int:
     text = _read_input(args.input)
     if args.kind == "contour":
         f = load_table(text)
-        axis = _parse_order_flag(args.axis, f.n) if args.axis else TotalOrder.natural(f.n)
+        axis = _parse_order_flag("--axis", args.axis, f.n) if args.axis else TotalOrder.natural(f.n)
         out = render_contour(f, axis, args.format)
     else:
         weak = total = None
@@ -157,7 +168,7 @@ def _cmd_render(args) -> int:
             print("profile input needs a 'weakorder <n> : ...' line", file=sys.stderr)
             return 2
         if args.reference:
-            total = _parse_order_flag(args.reference, weak.n)
+            total = _parse_order_flag("--reference", args.reference, weak.n)
         if total is None:
             total = TotalOrder.natural(weak.n)
         out = render_profile(total, weak, args.format)

@@ -13,8 +13,10 @@ One-line variants, used one object per line by the enumeration output:
     weakorder <n> : r1 r2 ... rn        (rank of each element)
     totalorder <n> : p1 p2 ... pn       (elements, smallest first)
 
-Parsers reject malformed input with a 1-based line/column diagnostic;
-emitters produce the canonical byte-deterministic form.
+Parsers read the tokens of `text.split()` and reject malformed input with a
+1-based line/column diagnostic; a token's position is computed only then, by
+scanning the text again.  Emitters produce the canonical byte-deterministic
+form.
 """
 
 from __future__ import annotations
@@ -30,71 +32,76 @@ from .structure import ClassificationReport, TableProperties
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
+def _error(text: str, index: int, message: str, shift: int = 0) -> ParseError:
+    """A diagnostic at token `index` of `text.split()`, `shift` columns on.
+
+    The tokens of `split()` are the matches of \\S+, and every line break of
+    `splitlines` is whitespace, so the scan finds the same token line by line.
+    """
     for lineno, line in enumerate(text.splitlines(), start=1):
         for m in _TOKEN.finditer(line):
-            tokens.append((m.group(), lineno, m.start() + 1))
-    return tokens
+            if not index:
+                return ParseError(message, lineno, m.start() + 1 + shift)
+            index -= 1
+    raise IndexError("token index past the end of the text")
 
 
-def _parse_int(token: tuple[str, int, int], what: str) -> int:
-    text, line, col = token
+def _int(text: str, tokens: list[str], index: int, what: str) -> int:
     try:
-        return int(text)
+        return int(tokens[index])
     except ValueError:
-        raise ParseError(f"expected {what}, got {text!r}", line, col) from None
+        raise _error(text, index, f"expected {what}, got {tokens[index]!r}") from None
 
 
-def _parse_header(tokens, keyword: str):
+def _header(text: str, tokens: list[str], keyword: str, one_line: bool) -> int:
+    """The cardinality after `keyword`; a one-line form must put ':' next."""
     if not tokens:
         raise ParseError("empty input", 1, 1)
-    head, line, col = tokens[0]
-    if head != keyword:
-        raise ParseError(f"expected {keyword!r}, got {head!r}", line, col)
+    if one_line and (len(tokens) < 3 or tokens[2] != ":"):
+        at = 2 if len(tokens) > 2 else len(tokens) - 1
+        raise _error(text, at, f"expected ':' in one-line {keyword} form")
+    if tokens[0] != keyword:
+        raise _error(text, 0, f"expected {keyword!r}, got {tokens[0]!r}")
     if len(tokens) < 2:
-        raise ParseError("missing cardinality after keyword", line, col + len(head))
-    n = _parse_int(tokens[1], "a cardinality")
+        raise _error(text, 0, "missing cardinality after keyword", len(keyword))
+    n = _int(text, tokens, 1, "a cardinality")
     if n < 1:
-        raise ParseError(f"cardinality must be positive, got {n}", tokens[1][1], tokens[1][2])
+        raise _error(text, 1, f"cardinality must be positive, got {n}")
     return n
 
 
-def _entries(tokens, n: int, count: int, low: int, high: int, what: str) -> list[int]:
-    if len(tokens) < count:
-        last = tokens[-1] if tokens else ("", 1, 1)
-        raise ParseError(f"expected {count} {what} entries, got {len(tokens)}", last[1], last[2])
-    if len(tokens) > count:
-        extra = tokens[count]
-        raise ParseError(f"unexpected extra token {extra[0]!r}", extra[1], extra[2])
-    values = []
-    for token in tokens:
-        v = _parse_int(token, "an integer")
-        if not low <= v <= high:
-            raise ParseError(f"entry {v} out of range {low}..{high}", token[1], token[2])
-        values.append(v)
-    return values
+def _entries(text: str, tokens: list[str], start: int, count: int, n: int, what: str) -> list[int]:
+    """tokens[start:] as exactly `count` integers in 1..n."""
+    got = len(tokens) - start
+    if got < count:
+        message = f"expected {count} {what} entries, got {got}"
+        raise _error(text, len(tokens) - 1, message) if got else ParseError(message, 1, 1)
+    if got > count:
+        raise _error(text, start + count, f"unexpected extra token {tokens[start + count]!r}")
+    try:
+        values = list(map(int, tokens[start:]))
+    except ValueError:
+        values = []
+    if values and 1 <= min(values) and max(values) <= n:
+        return values
+    # some entry is bad: report the first, in the order of the text
+    for index in range(start, len(tokens)):
+        v = _int(text, tokens, index, "an integer")
+        if not 1 <= v <= n:
+            raise _error(text, index, f"entry {v} out of range 1..{n}")
+    raise AssertionError("unreachable: an entry failed above")
 
 
-def _strip_colon(tokens, keyword: str):
-    # one-line form: keyword n : entries
-    if not tokens:
-        raise ParseError("empty input", 1, 1)
-    if len(tokens) < 3 or tokens[2][0] != ":":
-        t = tokens[2] if len(tokens) > 2 else tokens[-1]
-        raise ParseError(f"expected ':' in one-line {keyword} form", t[1], t[2])
-    return tokens[:2] + tokens[3:]
-
-
-def _cayley_from_tokens(tokens) -> FiniteBinOp:
-    n = _parse_header(tokens, "cayley")
-    values = _entries(tokens[2:], n, n * n, 1, n, "table")
+def _cayley(text: str, one_line: bool) -> FiniteBinOp:
+    tokens = text.split()
+    n = _header(text, tokens, "cayley", one_line)
+    values = _entries(text, tokens, 3 if one_line else 2, n * n, n, "table")
     return FiniteBinOp(tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def parse_cayley(text: str) -> FiniteBinOp:
     """Parse the multi-line table form."""
-    return _cayley_from_tokens(_tokenize(text))
+    return _cayley(text, one_line=False)
 
 
 def emit_cayley(f: FiniteBinOp) -> str:
@@ -105,7 +112,7 @@ def emit_cayley(f: FiniteBinOp) -> str:
 
 def parse_cayley_line(text: str) -> FiniteBinOp:
     """Parse the one-line row-major form."""
-    return _cayley_from_tokens(_strip_colon(_tokenize(text), "cayley"))
+    return _cayley(text, one_line=True)
 
 
 @lru_cache(maxsize=4096)
@@ -121,20 +128,18 @@ def emit_cayley_line(f: FiniteBinOp) -> str:
 
 def load_table(text: str) -> FiniteBinOp:
     """Accept either table form (one-line if the first line carries a ':')."""
-    first = text.lstrip().splitlines()[0] if text.strip() else ""
-    if ":" in first:
-        return parse_cayley_line(text)
-    return parse_cayley(text)
+    stripped = text.lstrip()
+    return _cayley(text, one_line=bool(stripped) and ":" in stripped.splitlines()[0])
 
 
 def parse_weak_order(text: str) -> WeakOrder:
-    tokens = _strip_colon(_tokenize(text), "weakorder")
-    n = _parse_header(tokens, "weakorder")
-    ranks = _entries(tokens[2:], n, n, 1, n, "rank")
+    tokens = text.split()
+    n = _header(text, tokens, "weakorder", one_line=True)
+    ranks = _entries(text, tokens, 3, n, n, "rank")
     try:
         return WeakOrder(tuple(ranks))
     except ValueError as exc:
-        raise ParseError(str(exc), tokens[0][1], tokens[0][2]) from None
+        raise _error(text, 0, str(exc)) from None
 
 
 # the text of each small rank, looked up instead of formatted per element
@@ -148,14 +153,23 @@ def emit_weak_order(w: WeakOrder) -> str:
     return f"weakorder {n} : " + " ".join(text)
 
 
-def parse_total_order(text: str) -> TotalOrder:
-    tokens = _strip_colon(_tokenize(text), "totalorder")
-    n = _parse_header(tokens, "totalorder")
-    elems = _entries(tokens[2:], n, n, 1, n, "element")
+def _listing(text: str, tokens: list[str], start: int, n: int) -> TotalOrder:
+    elems = _entries(text, tokens, start, n, n, "element")
     try:
         return TotalOrder.from_ordered_elements(elems)
     except ValueError as exc:
-        raise ParseError(str(exc), tokens[0][1], tokens[0][2]) from None
+        raise _error(text, 0, str(exc)) from None
+
+
+def parse_total_order(text: str) -> TotalOrder:
+    tokens = text.split()
+    return _listing(text, tokens, 3, _header(text, tokens, "totalorder", one_line=True))
+
+
+def parse_listing(text: str, n: int) -> TotalOrder:
+    """An ordering of 1..n written as its elements, smallest first: the part
+    of a `totalorder` line after the ':'.  Diagnostics point into `text`."""
+    return _listing(text, text.split(), 0, n)
 
 
 def emit_total_order(t: TotalOrder) -> str:

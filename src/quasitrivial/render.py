@@ -22,30 +22,6 @@ FORMATS = ("ascii", "svg")
 
 
 @dataclass(frozen=True)
-class ContourPlot:
-    """Level sets of an operation laid out on a drawing axis."""
-
-    n: int
-    axis: TotalOrder
-    level_sets: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-    @classmethod
-    def from_operation(cls, f: FiniteBinOp, axis: TotalOrder | None = None) -> "ContourPlot":
-        axis = axis or TotalOrder.natural(f.n)
-        if axis.n != f.n:
-            raise ValueError("axis ordering has the wrong cardinality")
-        sets: dict[int, list[tuple[int, int]]] = {}
-        for x in range(1, f.n + 1):
-            for y in range(1, f.n + 1):
-                sets.setdefault(f(x, y), []).append((x, y))
-        levels = tuple(
-            (v, tuple(sorted(pts, key=lambda p: (axis.rank_of(p[0]), axis.rank_of(p[1])))))
-            for v, pts in sorted(sets.items())
-        )
-        return cls(f.n, axis, levels)
-
-
-@dataclass(frozen=True)
 class ProfilePlot:
     """A weak ordering drawn over a reference ordering: horizontal position is
     the reference rank, vertical position the reversed weak-order rank (so the
@@ -89,44 +65,46 @@ def _svg_header(width: int, height: int) -> list[str]:
 
 def _contour_svg(f: FiniteBinOp, axis: TotalOrder) -> str:
     n = f.n
-    plot = ContourPlot.from_operation(f, axis)
+    elems = axis.ordered_elements()
     size = 2 * MARGIN + (n - 1) * CELL
-
-    def px(x: int) -> int:
-        return MARGIN + (axis.rank_of(x) - 1) * CELL
-
-    def py(y: int) -> int:
-        return MARGIN + (n - axis.rank_of(y)) * CELL
+    # the x and y coordinate of each element, from its position on the axis
+    xs = [0] * (n + 1)
+    ys = [0] * (n + 1)
+    for i, v in enumerate(elems):
+        xs[v] = MARGIN + i * CELL
+        ys[v] = size - MARGIN - i * CELL
+    # each level's points along every row and every column, by axis position;
+    # the cells are walked in axis order, so each run is already sorted
+    along_rows: dict[int, list[list[str]]] = {}
+    along_cols: dict[int, list[list[str]]] = {}
+    circles = []
+    for i, x in enumerate(elems):
+        row = f.rows[x - 1]
+        for j, y in enumerate(elems):
+            value = row[y - 1]
+            if value not in along_rows:
+                along_rows[value] = [[] for _ in elems]
+                along_cols[value] = [[] for _ in elems]
+            point = f"{xs[x]},{ys[y]}"
+            along_rows[value][j].append(point)
+            along_cols[value][i].append(point)
+            circles.append(f'<circle cx="{xs[x]}" cy="{ys[y]}" r="3"/>')
 
     lines = _svg_header(size, size)
-    for value, points in plot.level_sets:
+    for value in sorted(along_rows):
         lines.append(f'<g id="level-{value}" stroke="black" fill="none">')
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for x, y in points:
-            by_row.setdefault(y, []).append((x, y))
-            by_col.setdefault(x, []).append((x, y))
-        for y in sorted(by_row, key=axis.rank_of):
-            run = sorted(by_row[y], key=lambda p: axis.rank_of(p[0]))
+        for run in along_rows[value] + along_cols[value]:
             if len(run) >= 2:
-                coords = " ".join(f"{px(x)},{py(yy)}" for x, yy in run)
-                lines.append(f'<polyline points="{coords}"/>')
-        for x in sorted(by_col, key=axis.rank_of):
-            run = sorted(by_col[x], key=lambda p: axis.rank_of(p[1]))
-            if len(run) >= 2:
-                coords = " ".join(f"{px(xx)},{py(y)}" for xx, y in run)
-                lines.append(f'<polyline points="{coords}"/>')
+                lines.append(f'<polyline points="{" ".join(run)}"/>')
         lines.append("</g>")
     lines.append('<g id="points" fill="black">')
-    for x in axis.ordered_elements():
-        for y in axis.ordered_elements():
-            lines.append(f'<circle cx="{px(x)}" cy="{py(y)}" r="3"/>')
+    lines += circles
     lines.append("</g>")
     lines.append('<g id="labels" font-size="14" fill="black">')
-    for v in axis.ordered_elements():
-        lines.append(f'<text x="{px(v) + 6}" y="{py(v) - 6}">{v}</text>')
-        lines.append(f'<text x="{px(v) - 4}" y="{size - 8}">{v}</text>')
-        lines.append(f'<text x="8" y="{py(v) + 5}">{v}</text>')
+    for v in elems:
+        lines.append(f'<text x="{xs[v] + 6}" y="{ys[v] - 6}">{v}</text>')
+        lines.append(f'<text x="{xs[v] - 4}" y="{size - 8}">{v}</text>')
+        lines.append(f'<text x="8" y="{ys[v] + 5}">{v}</text>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -169,6 +169,11 @@ def decompose(f: FiniteBinOp) -> KimuraDecomposition:
     route; a mismatch can only indicate a bug and raises ConsistencyError.
     """
     _require_decomposable(f)
+    return _factor(f)
+
+
+def _factor(f: FiniteBinOp) -> KimuraDecomposition:
+    """`decompose` of an f already known associative and quasitrivial."""
     order = _ranks_from_levels(_pairwise_levels(f))
     if order != _ranks_from_levels(_degrees(f)):
         raise ConsistencyError("pairwise and degree-based orderings disagree")
@@ -197,11 +202,20 @@ def commutative_characterization(f: FiniteBinOp) -> TotalOrder | None:
     factorization; (2) f is quasitrivial with degree sequence
     (0, 2, ..., 2n-2), with the ordering read from the degrees.
     """
-    n = f.n
     quasitrivial = is_quasitrivial(f)
-    via_structure = None
+    order = None
     if quasitrivial and is_commutative(f) and is_associative(f):
         order = _ranks_from_levels(_pairwise_levels(f))
+    return _max_order(f, quasitrivial, order)
+
+
+def _max_order(f: FiniteBinOp, quasitrivial: bool, order: WeakOrder | None) -> TotalOrder | None:
+    """`commutative_characterization` given whether f is quasitrivial and, if
+    f is a commutative qt-semigroup, the weak ordering of its factorization
+    (else None)."""
+    n = f.n
+    via_structure = None
+    if order is not None:
         if not order.is_total():
             raise ConsistencyError("commutative factorization has a fat class")
         via_structure = order.to_total()
@@ -374,6 +388,11 @@ class TableProperties:
                    degree_sequence(f))
 
 
+def _decomposition(f: FiniteBinOp, properties: TableProperties) -> KimuraDecomposition | None:
+    """f's factorization if `properties` (of f) show it has one, else None."""
+    return _factor(f) if properties.associative and properties.quasitrivial else None
+
+
 @dataclass(frozen=True)
 class ClassificationReport(TableProperties):
     """Everything this package can say about one operation at a glance."""
@@ -399,8 +418,7 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
     if reference.n != n:
         raise ValueError("reference ordering has the wrong cardinality")
     properties = TableProperties.of(f)
-    decomposable = properties.associative and properties.quasitrivial
-    decomposition = decompose(f) if decomposable else None
+    decomposition = _decomposition(f, properties)
     wsp = None
     if decomposition is not None:
         wsp = is_weakly_single_peaked(reference, decomposition.order)
@@ -417,7 +435,10 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
     return ClassificationReport(
         **vars(properties),
         decomposition=decomposition,
-        max_of_total_order=commutative_characterization(f),
+        max_of_total_order=_max_order(
+            f, properties.quasitrivial,
+            decomposition.order if decomposition is not None and properties.commutative else None,
+        ),
         order_preserving_for_reference=is_order_preserving(f, reference),
         weakly_single_peaked_for_reference=wsp,
         monotone_for=tuple(monotone),

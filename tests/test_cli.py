@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from quasitrivial import ConsistencyError, FiniteBinOp, build, counting, verify
+from quasitrivial import ConsistencyError, FiniteBinOp, build, counting, is_associative, verify
 from quasitrivial.cli import ENUMERATE_CHUNK_LINES, ORACLE_CHECKS, build_parser, main
-from quasitrivial.formats import emit_cayley_line
+from quasitrivial.formats import emit_cayley, emit_cayley_line
 from conftest import X3_NOT_QUASITRIVIAL, X4_NEVER_MONOTONE, X4_PEAKED, sampled_decomposition
 
 # `python -m` finds the package from here whether or not it is installed
@@ -275,6 +275,12 @@ class TestCheck:
         assert code == 2
         assert "line 3, column 5" in err
 
+    def test_reference_diagnostic_points_into_the_flag(self, capsys, monkeypatch):
+        text = "cayley 2\n1 1\n1 2\n"
+        code, out, err = run_stdin(capsys, monkeypatch, text, "check", "--reference", "1 2 3", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: --reference: line 1, column 5: unexpected extra token '3'\n"
+
 
 class TestClassifyDecompose:
     def test_classify_full_record(self, capsys, peaked_file):
@@ -353,6 +359,13 @@ class TestRender:
         code, out, _ = run(capsys, "render", "contour", peaked_file, "--axis", "2 1 3 4")
         assert code == 0
         assert out.splitlines()[0] == "2 1 3 4"
+
+    def test_axis_diagnostic_points_into_the_flag(self, capsys, monkeypatch):
+        text = "cayley 2\n1 1\n1 2\n"
+        argv = ("render", "contour", "-", "--axis", "2 2")
+        code, out, err = run_stdin(capsys, monkeypatch, text, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --axis: line 1, column 1: (2, 2) is not a permutation of 1..n\n"
 
     def test_profile_from_file(self, capsys, tmp_path):
         path = tmp_path / "profile.txt"
@@ -638,3 +651,56 @@ class TestDeterminism:
         code, out, err = run(capsys, "verify", level)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_SHA256[level]
+
+
+def mutant(f, kind, rng):
+    """f with one off-diagonal cell changed: flipped to the other argument so
+    that the table stops being associative ("A"), or set to a third value
+    ("Q"); None if no flip breaks associativity."""
+    n = f.n
+    cells = [(x, y) for x in range(n) for y in range(n) if x != y]
+    rng.shuffle(cells)
+    for x, y in cells:
+        rows = [list(row) for row in f.rows]
+        if kind == "A":
+            rows[x][y] = y + 1 if rows[x][y] == x + 1 else x + 1
+            if is_associative(FiniteBinOp(rows)):
+                continue
+        else:
+            rows[x][y] = rng.choice([z for z in range(1, n + 1) if z not in (x + 1, y + 1)])
+        return FiniteBinOp(rows)
+    return None
+
+
+def read_path_inputs():
+    """Seeded tables for n = 5..8: six factorizations, two flipped-cell and
+    two third-value mutants of further ones, each in a random text form."""
+    rng = random.Random("read-path")
+    for n in range(5, 9):
+        for kind in "DDDDDDAAQQ":
+            f = build(sampled_decomposition(n, rng, thin=rng.random() < 0.5))
+            if kind != "D":
+                f = mutant(f, kind, rng) or f
+            yield emit_cayley(f) if rng.random() < 0.5 else emit_cayley_line(f) + "\n"
+
+
+READ_COMMANDS = (
+    ("classify", "-"),
+    ("check", "--find-order", "-"),
+    ("decompose", "-"),
+    ("render", "contour", "-", "--format", "svg"),
+)
+# SHA-256 over the exit code, stdout and stderr of every command on every
+# table of `read_path_inputs`, computed with the line-by-line regex tokenizer,
+# the rank-sorting SVG renderer and a `classify` that re-checked the
+# preconditions of `decompose`
+READ_PATH_SHA256 = "fcdabeaba18826af2f5efe68f90eff72a7d5d39c70838d023faaa10d7dd1c57a"
+
+
+def test_read_path_bytes_pinned(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for text in read_path_inputs():
+        for argv in READ_COMMANDS:
+            code, out, err = run_stdin(capsys, monkeypatch, text, *argv)
+            digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == READ_PATH_SHA256

@@ -154,3 +154,97 @@ class TestClassificationRecord:
         assert "neutral: -" in lines
         assert "weakly_single_peaked_for_reference: -" in lines
         assert not any(line.startswith("weak_order:") for line in lines)
+
+
+# Malformed inputs and their exact diagnostics, each message pinned from the
+# line-by-line regex tokenizer that preceded the split-token parser.
+MALFORMED = [
+    # multi-line cayley form
+    (load_table, "", "line 1, column 1: empty input"),
+    (load_table, "table 2\n1 1\n1 2\n", "line 1, column 1: expected 'cayley', got 'table'"),
+    (load_table, "  cayley\n", "line 1, column 9: missing cardinality after keyword"),
+    (load_table, "cayley two\n1 1\n1 2\n", "line 1, column 8: expected a cardinality, got 'two'"),
+    (load_table, "cayley -3\n", "line 1, column 8: cardinality must be positive, got -3"),
+    (load_table, "cayley 2\n", "line 1, column 1: expected 4 table entries, got 0"),
+    (load_table, "cayley 2\n1 1\n1\n", "line 3, column 1: expected 4 table entries, got 3"),
+    (load_table, "cayley 2\n1 1\n1 2 2\n", "line 3, column 5: unexpected extra token '2'"),
+    (load_table, "cayley 2\n1 x\n1 2\n", "line 2, column 3: expected an integer, got 'x'"),
+    (load_table, "cayley 2\n5 x\n1 2\n", "line 2, column 1: entry 5 out of range 1..2"),
+    (load_table, "cayley 2\r\n1 1\r\n1 9\r\n", "line 3, column 3: entry 9 out of range 1..2"),
+    (load_table, "cayley 2\u20281 1₅1 1.0\n",
+     "line 2, column 7: expected 4 table entries, got 3"),
+    # one-line cayley form
+    (load_table, "cayley 2 : 1 1 1", "line 1, column 16: expected 4 table entries, got 3"),
+    (load_table, "cayley 2 : 1 1 1 2 2", "line 1, column 20: unexpected extra token '2'"),
+    (load_table, "cayley 2 : 1 1 1 0x1", "line 1, column 18: expected an integer, got '0x1'"),
+    (load_table, "cayley 2 1 1 1 2 :", "line 1, column 10: expected ':' in one-line cayley form"),
+    (load_table, "cayley : 2 1 1 1 2", "line 1, column 10: expected ':' in one-line cayley form"),
+    (load_table, "table 2 : 1 1 1 2", "line 1, column 1: expected 'cayley', got 'table'"),
+    (load_table, "cayley 2 : 1 1\n1 1__2\n", "line 2, column 3: expected an integer, got '1__2'"),
+    (load_table, "cayley 1 : \u200b1", "line 1, column 12: expected an integer, got '\\u200b1'"),
+    # weakorder
+    (parse_weak_order, "weakorder", "line 1, column 1: expected ':' in one-line weakorder form"),
+    (parse_weak_order, "weakorder 3 1 2 3",
+     "line 1, column 13: expected ':' in one-line weakorder form"),
+    (parse_weak_order, "weakorder 3 : 1 3 3",
+     "line 1, column 1: rank vector (1, 3, 3) is not surjective onto 1..k"),
+    (parse_weak_order, "weakorder 3 : 1 2", "line 1, column 17: expected 3 rank entries, got 2"),
+    (parse_weak_order, "weakorder 3 : 1 2 4", "line 1, column 19: entry 4 out of range 1..3"),
+    (parse_weak_order, "weakorder 2 : : 1 2", "line 1, column 19: unexpected extra token '2'"),
+    (parse_weak_order, "totalorder 2 : 1 2",
+     "line 1, column 1: expected 'weakorder', got 'totalorder'"),
+    # totalorder
+    (parse_total_order, "totalorder 3 : 1 1 2",
+     "line 1, column 1: (1, 1, 2) is not a permutation of 1..n"),
+    (parse_total_order, "totalorder 3 : 1 2 3 4", "line 1, column 22: unexpected extra token '4'"),
+    (parse_total_order, "totalorder 3 : 1 2 _3",
+     "line 1, column 20: expected an integer, got '_3'"),
+    (parse_total_order, "  totalorder\t3 ;\n1 2 3",
+     "line 1, column 16: expected ':' in one-line totalorder form"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", MALFORMED)
+def test_malformed_input_diagnostic(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert message.startswith(f"line {err.value.line}, column {err.value.column}: ")
+
+
+# Inputs accepted because entries are read with `int()`: a sign, digit
+# separators and any Unicode decimal digit ('١' is ARABIC-INDIC DIGIT ONE).
+ACCEPTED = [
+    (load_table, "cayley ٢\n+1 ١\n0_1 2\n", FiniteBinOp(((1, 1), (1, 2)))),
+    (load_table, "cayley +2 : １ 1 1 ٢", FiniteBinOp(((1, 1), (1, 2)))),
+    (parse_weak_order, "weakorder 1_0 : 1 2 3 4 5 6 7 8 9 1_0", WeakOrder(tuple(range(1, 11)))),
+    (parse_total_order, "totalorder 3 : +3 ١ 0_2", TotalOrder.from_ordered_elements([3, 1, 2])),
+]
+
+
+@pytest.mark.parametrize("parse, text, expected", ACCEPTED)
+def test_accepted_int_spellings(parse, text, expected):
+    assert parse(text) == expected
+
+
+def test_arbitrary_text_raises_only_parse_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a keyword and cardinality, then text drawn mostly from digits, signs,
+    # separators and whitespace, so that many draws get past the header
+    body = st.text(alphabet=st.sampled_from("0123456789+-_:x \t\n\r\x0b\u2028١"), max_size=40)
+    headed = st.builds(
+        lambda keyword, n, rest: f"{keyword} {n} {rest}",
+        st.sampled_from(("cayley", "weakorder", "totalorder")), st.integers(-1, 4), body,
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.text() | headed)
+    def check(text):
+        for parse in (load_table, parse_weak_order, parse_total_order):
+            try:
+                parse(text)
+            except ParseError as exc:
+                assert str(exc).startswith(f"line {exc.line}, column {exc.column}: ")
+
+    check()

@@ -1,14 +1,17 @@
-"""Render: golden outputs, determinism, SVG well-formedness, marker agreement."""
+"""Render: golden outputs, pinned digests, determinism, SVG well-formedness,
+marker agreement."""
 
+import hashlib
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from quasitrivial import FiniteBinOp, TotalOrder, WeakOrder, profile_patterns
-from quasitrivial.enumeration import weak_orders
-from quasitrivial.render import FORMATS, ContourPlot, ProfilePlot, render_contour, render_profile
+from quasitrivial import FiniteBinOp, TotalOrder, WeakOrder, build, profile_patterns
+from quasitrivial.enumeration import qt_semigroups, weak_orders
+from quasitrivial.render import FORMATS, ProfilePlot, render_contour, render_profile
 
-from conftest import as_weak
+from conftest import as_weak, sampled_decomposition
 
 
 class TestContourAscii:
@@ -63,10 +66,38 @@ class TestContourSvg:
         circles = [c for c in root.iter(f"{ns}circle")]
         assert len(circles) == 16
 
-    def test_level_sets_partition_grid(self, x4_unpeaked):
-        plot = ContourPlot.from_operation(x4_unpeaked)
-        points = [p for _, pts in plot.level_sets for p in pts]
-        assert sorted(points) == [(x, y) for x in range(1, 5) for y in range(1, 5)]
+
+def contour_cases():
+    """Every qt-semigroup with n <= 3, then for each n = 4..9 three seeded
+    factorizations and two seeded arbitrary tables; each table with the
+    natural axis and a seeded shuffled one."""
+    tables = [f for n in (1, 2, 3) for f in qt_semigroups(n)]
+    for n in range(4, 10):
+        rng = random.Random(f"contour:{n}")
+        tables += [build(sampled_decomposition(n, rng)) for _ in range(3)]
+        tables += [FiniteBinOp.from_function(n, lambda x, y: rng.randint(1, n)) for _ in range(2)]
+    rng = random.Random("contour-axes")
+    for f in tables:
+        listing = list(range(1, f.n + 1))
+        rng.shuffle(listing)
+        yield f, TotalOrder.natural(f.n)
+        yield f, TotalOrder.from_ordered_elements(listing)
+
+
+# SHA-256 over the 110 renderings of `contour_cases`, in order, computed with
+# the renderer that still sorted each level set by a rank key
+CONTOUR_SHA256 = {
+    "ascii": "3ae80ad2a49c0f0a85cc13e8c73b23d3127e24a2010e9dd7b0dfe218b2a41597",
+    "svg": "6e0308633ce55eb39fd78826fbd94479d54b9e93691b7a21df9838edd9c13b6b",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_contour_bytes_pinned(fmt):
+    digest = hashlib.sha256()
+    for f, axis in contour_cases():
+        digest.update(render_contour(f, axis, fmt).encode())
+    assert digest.hexdigest() == CONTOUR_SHA256[fmt]
 
 
 class TestProfileAscii:

@@ -26,6 +26,7 @@ from quasitrivial import (
     is_quasitrivial,
     weak_order_from_degrees,
 )
+from quasitrivial import structure
 from quasitrivial.enumeration import kimura_decompositions, qt_semigroups
 from quasitrivial.magmas import order_preserving_by_definition
 from quasitrivial.structure import monotonizing_orders, projection_rows
@@ -390,6 +391,28 @@ class TestClassify:
         report = classify(f)
         assert list(report.monotone_for) == list(monotonizing_orders_by_filter(f))[:24]
         assert report.monotone_for_truncated
+
+    def test_predicates_run_once(self, monkeypatch):
+        # classify passes what TableProperties found to the factorization and
+        # the commutative characterization instead of deciding it again
+        calls = []
+        for name in ("is_associative", "is_quasitrivial"):
+            def counted(f, _name=name, _fn=getattr(structure, name)):
+                calls.append(_name)
+                return _fn(f)
+
+            monkeypatch.setattr(structure, name, counted)
+        # a decomposable n = 8 table, and a commutative one
+        tables = [
+            build(sampled_decomposition(8, random.Random(8))),
+            FiniteBinOp.max_under(TotalOrder.from_ordered_elements([3, 1, 4, 8, 5, 2, 7, 6])),
+        ]
+        for f in tables:
+            calls.clear()
+            report = classify(f)
+            assert report.decomposition is not None
+            assert sorted(calls) == ["is_associative", "is_quasitrivial"]
+        assert report.max_of_total_order is not None
 
     def test_report_internal_consistency_sweep(self):
         import random
