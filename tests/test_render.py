@@ -9,7 +9,7 @@ import pytest
 
 from quasitrivial import FiniteBinOp, TotalOrder, WeakOrder, build, profile_patterns
 from quasitrivial.enumeration import qt_semigroups, weak_orders
-from quasitrivial.render import FORMATS, ProfilePlot, render_contour, render_profile
+from quasitrivial.render import FORMATS, render_contour, render_profile
 
 from conftest import as_weak, sampled_decomposition
 
@@ -143,6 +143,22 @@ class TestProfileAscii:
                 assert ("violations: none" in text) == flags.all_free()
 
 
+# SHA-256 over `render_profile(t, w, fmt)` for n = 1..5, t natural then
+# reversed, every weak ordering w in `weak_orders` order, ascii then svg;
+# computed with the renderer that still drew through a ProfilePlot
+PROFILE_SHA256 = "237ee6926e3292b8aaac15e971b59ed0c331c711862646f3f7775e5b529c68c6"
+
+
+def test_profile_bytes_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for t in (TotalOrder.natural(n), TotalOrder.natural(n).inverse()):
+            for w in weak_orders(n):
+                for fmt in FORMATS:
+                    digest.update(render_profile(t, w, fmt).encode())
+    assert digest.hexdigest() == PROFILE_SHA256
+
+
 class TestProfileSvg:
     def test_valid_and_deterministic(self):
         t, w = TotalOrder.natural(4), WeakOrder((1, 3, 3, 2))
@@ -152,10 +168,9 @@ class TestProfileSvg:
         assert "violation: V" in svg
 
     def test_levels_respect_equivalence(self):
-        plot = ProfilePlot(4, TotalOrder.natural(4), WeakOrder((1, 3, 3, 2)))
-        assert plot.level_of(2) == plot.level_of(3)
-        assert plot.level_of(1) == 3  # bottom class drawn on top
-        assert plot.level_of(2) == 1  # top class drawn at the bottom
+        rows = render_profile(TotalOrder.natural(4), WeakOrder((1, 3, 3, 2))).splitlines()
+        assert rows[0] == "* . . ."  # bottom class drawn on top
+        assert rows[2] == ". *=* ."  # top class, one plateau, at the bottom
 
     def test_degenerate_sizes(self):
         # one class and one element are both valid plots
