@@ -69,11 +69,14 @@ def _write_output(text: str, path: str | None) -> None:
         out.write(text)
 
 
-def _parse_order_flag(flag: str, payload: str, n: int) -> TotalOrder:
-    """The ordering given as the value of `flag`, elements smallest first; a
-    diagnostic names the flag and points into its value."""
+def _order_flag(flag: str, value: str | None, n: int) -> TotalOrder:
+    """The ordering given as the value of `flag`, elements smallest first, or
+    the natural ordering of 1..n if the flag was not given; a diagnostic
+    names the flag and points into its value."""
+    if value is None:
+        return TotalOrder.natural(n)
     try:
-        return parse_listing(payload, n)
+        return parse_listing(value, n)
     except ParseError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
@@ -107,15 +110,9 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _reference_for(args, n: int) -> TotalOrder:
-    if getattr(args, "reference", None):
-        return _parse_order_flag("--reference", args.reference, n)
-    return TotalOrder.natural(n)
-
-
 def _cmd_check(args) -> int:
     f = load_table(_read_input(args.input))
-    reference = _reference_for(args, f.n)
+    reference = _order_flag("--reference", args.reference, f.n)
     properties = TableProperties.of(f)
     out = emit_properties(properties, is_order_preserving(f, reference))
     if args.find_order:
@@ -132,7 +129,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     f = load_table(_read_input(args.input))
-    report = classify(f, _reference_for(args, f.n))
+    report = classify(f, _order_flag("--reference", args.reference, f.n))
     sys.stdout.write(emit_classification(report))
     return 0
 
@@ -150,29 +147,28 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_render(args) -> int:
-    text = _read_input(args.input)
-    if args.kind == "contour":
-        f = load_table(text)
-        axis = _parse_order_flag("--axis", args.axis, f.n) if args.axis else TotalOrder.natural(f.n)
-        out = render_contour(f, axis, args.format)
-    else:
-        weak = total = None
-        for line in text.splitlines():
-            stripped = line.strip()
-            if stripped.startswith("weakorder"):
-                weak = parse_weak_order(stripped)
-            elif stripped.startswith("totalorder"):
-                total = parse_total_order(stripped)
-        if weak is None:
-            print("profile input needs a 'weakorder <n> : ...' line", file=sys.stderr)
-            return 2
-        if args.reference:
-            total = _parse_order_flag("--reference", args.reference, weak.n)
-        if total is None:
-            total = TotalOrder.natural(weak.n)
-        out = render_profile(total, weak, args.format)
+def _cmd_render_contour(args) -> int:
+    f = load_table(_read_input(args.input))
+    out = render_contour(f, _order_flag("--axis", args.axis, f.n), args.format)
     _write_output(out, args.output)
+    return 0
+
+
+def _cmd_render_profile(args) -> int:
+    weak = total = None
+    for line in _read_input(args.input).splitlines():
+        stripped = line.strip()
+        if stripped.startswith("weakorder"):
+            weak = parse_weak_order(stripped)
+        elif stripped.startswith("totalorder"):
+            total = parse_total_order(stripped)
+    if weak is None:
+        print("profile input needs a 'weakorder <n> : ...' line", file=sys.stderr)
+        return 2
+    # the file's totalorder line is the default reference; the flag overrides it
+    if total is None or args.reference is not None:
+        total = _order_flag("--reference", args.reference, weak.n)
+    _write_output(render_profile(total, weak, args.format), args.output)
     return 0
 
 
@@ -254,14 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("render", help="draw a contour or profile plot")
-    p.add_argument("kind", choices=("contour", "profile"))
-    p.add_argument("input")
-    p.add_argument("--format", choices=FORMATS, default="ascii")
-    p.add_argument("--axis", default=None, help="drawing axis for contour plots")
-    p.add_argument("--reference", default=None, help="reference ordering for profiles")
-    p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_render)
+    kinds = sub.add_parser("render", help="draw a contour or profile plot").add_subparsers(
+        dest="kind", required=True)
+    # each kind takes its own ordering flag and no other
+    for kind, flag, flag_help, handler in (
+        ("contour", "--axis", "drawing axis", _cmd_render_contour),
+        ("profile", "--reference", "reference ordering", _cmd_render_profile),
+    ):
+        p = kinds.add_parser(kind)
+        p.add_argument("input")
+        p.add_argument("--format", choices=FORMATS, default="ascii")
+        p.add_argument(flag, default=None, help=flag_help)
+        p.add_argument("--output", default=None)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("oracle", help="raw brute-force searches")
     p.add_argument("check", choices=ORACLE_CHECKS)

@@ -165,16 +165,19 @@ def is_convex(t: TotalOrder, subset: Iterable[int]) -> bool:
 
 def is_single_peaked(t: TotalOrder, p: TotalOrder) -> bool:
     """True iff the t-middle of any three elements is never ranked last by p."""
-    return _peaked(t, p.ranks, strict=True)
+    return _peaked(t, p.ranks)
 
 
 def is_weakly_single_peaked(t: TotalOrder, w: WeakOrder) -> bool:
     """Weak-order generalization: for t-ordered a < b < c, b is strictly below
     a or strictly below c, or all three are equivalent."""
-    return _peaked(t, w.ranks, strict=False)
+    return _peaked(t, w.ranks)
 
 
-def _peaked(t, ranks, strict):
+def _peaked(t, ranks):
+    """No t-middle of three elements ranked at or above both ends, unless all
+    three share a rank; three distinct elements of a total order never do, so
+    the one walk serves both orderings."""
     elems = t.ordered_elements()
     n = len(elems)
     for j in range(1, n - 1):
@@ -187,7 +190,7 @@ def _peaked(t, ranks, strict):
                 rc = ranks[elems[k] - 1]
                 if rb < rc:
                     continue
-                if strict or not (ra == rb == rc):
+                if not (ra == rb == rc):
                     return False
     return True
 

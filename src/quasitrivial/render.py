@@ -10,8 +10,6 @@ reversed-L violations, in exact agreement with `orders.profile_patterns`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .magmas import FiniteBinOp
 from .orders import TotalOrder, WeakOrder, profile_patterns
 
@@ -19,20 +17,6 @@ CELL = 40
 MARGIN = 50
 
 FORMATS = ("ascii", "svg")
-
-
-@dataclass(frozen=True)
-class ProfilePlot:
-    """A weak ordering drawn over a reference ordering: horizontal position is
-    the reference rank, vertical position the reversed weak-order rank (so the
-    bottom class of the weak ordering sits on top)."""
-
-    n: int
-    reference: TotalOrder
-    order: WeakOrder
-
-    def level_of(self, x: int) -> int:
-        return self.order.k + 1 - self.order.rank_of(x)
 
 
 def render_contour(f: FiniteBinOp, axis: TotalOrder | None = None, fmt: str = "ascii") -> str:
@@ -133,17 +117,16 @@ def _violation_lines(t: TotalOrder, w: WeakOrder) -> list[str]:
 
 
 def _profile_ascii(t: TotalOrder, w: WeakOrder) -> str:
-    plot = ProfilePlot(w.n, t, w)
     elems = t.ordered_elements()
-    levels = [plot.level_of(x) for x in elems]
+    ranks = [w.ranks[x - 1] for x in elems]
     lines = []
-    for level in range(w.k, 0, -1):
+    # one row per class, the bottom class on top
+    for r in range(1, w.k + 1):
         row = []
-        for i, lv in enumerate(levels):
+        for i, rx in enumerate(ranks):
             if i:
-                joined = lv == level == levels[i - 1] and w.equiv(elems[i - 1], elems[i])
-                row.append("=" if joined else " ")
-            row.append("*" if lv == level else ".")
+                row.append("=" if rx == r == ranks[i - 1] else " ")
+            row.append("*" if rx == r else ".")
         lines.append("".join(row))
     lines.append("x-axis: " + " ".join(str(x) for x in elems))
     lines.extend(_violation_lines(t, w))
@@ -151,32 +134,28 @@ def _profile_ascii(t: TotalOrder, w: WeakOrder) -> str:
 
 
 def _profile_svg(t: TotalOrder, w: WeakOrder) -> str:
-    plot = ProfilePlot(w.n, t, w)
     n, k = w.n, w.k
     width = 2 * MARGIN + (n - 1) * CELL
-    height = 2 * MARGIN + (k - 1) * CELL if k > 1 else 2 * MARGIN
+    height = 2 * MARGIN + (k - 1) * CELL
     elems = t.ordered_elements()
-
-    def px(pos: int) -> int:
-        return MARGIN + (pos - 1) * CELL
-
-    def py(level: int) -> int:
-        return MARGIN + (k - level) * CELL
+    # x from the reference position, y from the weak-order rank: the bottom
+    # class sits on top
+    points = [(MARGIN + i * CELL, MARGIN + (w.ranks[x - 1] - 1) * CELL)
+              for i, x in enumerate(elems)]
 
     lines = _svg_header(width, height)
-    coords = " ".join(f"{px(i + 1)},{py(plot.level_of(x))}" for i, x in enumerate(elems))
+    coords = " ".join(f"{x},{y}" for x, y in points)
     lines.append(f'<polyline points="{coords}" stroke="black" fill="none"/>')
     lines.append('<g id="points" fill="black">')
-    for i, x in enumerate(elems):
-        lines.append(f'<circle cx="{px(i + 1)}" cy="{py(plot.level_of(x))}" r="3"/>')
+    lines += [f'<circle cx="{x}" cy="{y}" r="3"/>' for x, y in points]
     lines.append("</g>")
     lines.append('<g id="labels" font-size="14" fill="black">')
-    for i, x in enumerate(elems):
-        lines.append(f'<text x="{px(i + 1) - 4}" y="{height - 8}">{x}</text>')
-    for level in range(1, k + 1):
-        members = sorted(x for x in range(1, n + 1) if plot.level_of(x) == level)
-        label = "~".join(str(x) for x in members)
-        lines.append(f'<text x="4" y="{py(level) + 5}">{label}</text>')
+    for (x, _), v in zip(points, elems):
+        lines.append(f'<text x="{x - 4}" y="{height - 8}">{v}</text>')
+    classes = w.classes()
+    for r in range(k, 0, -1):
+        label = "~".join(str(x) for x in sorted(classes[r - 1]))
+        lines.append(f'<text x="4" y="{MARGIN + (r - 1) * CELL + 5}">{label}</text>')
     for i, note in enumerate(_violation_lines(t, w)):
         lines.append(f'<text x="{MARGIN}" y="{16 + 16 * i}">{note}</text>')
     lines.append("</g>")

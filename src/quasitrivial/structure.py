@@ -231,14 +231,16 @@ def _max_order(f: FiniteBinOp, quasitrivial: bool, order: WeakOrder | None) -> T
 
 def _pruned_listings(f: FiniteBinOp) -> Iterator[tuple[int, ...]]:
     """Every element listing the pruned search reaches, in lexicographic
-    order: a superset of the order-preserving ones.
+    order: exactly the order-preserving ones.
 
     Depth-first search over prefixes of the listing, smallest candidate first.
     Let key(v) be v's position in the prefix, or n while v is unplaced.  Every
     completion puts a placed u below each v with key(u) < key(v), and an
     unplaced value above every placed one, so the prefix has no
     order-preserving completion if for such u, v and some y
-    key(F(u,y)) > key(F(v,y)) or key(F(y,u)) > key(F(y,v)).
+    key(F(u,y)) > key(F(v,y)) or key(F(y,u)) > key(F(y,v)).  At full depth
+    this is the order-preservation test itself, so every listing it completes
+    is order-preserving.
     """
     n = f.n
     rows = [[v - 1 for v in row] for row in f.rows]
@@ -334,11 +336,10 @@ def monotonizing_orders(
     order of the element listing.
 
     Given f's factorization `decomposition`, the orderings are generated from
-    it (`_factored_listings`), at any n; each one must pass
-    `is_order_preserving`, else ConsistencyError.  Without it a pruned search
-    over prefixes of the listing (`_pruned_listings`) finds them, capped at
-    n <= MONOTONE_SEARCH_MAX_N; each listing it completes is kept only if
-    `is_order_preserving` accepts it.
+    it (`_factored_listings`), at any n.  Without it a pruned search over
+    prefixes of the listing (`_pruned_listings`) finds them, capped at
+    n <= MONOTONE_SEARCH_MAX_N.  Either route lists exactly these orderings,
+    and each listing must pass `is_order_preserving`, else ConsistencyError.
     """
     if decomposition is None:
         if f.n > MONOTONE_SEARCH_MAX_N:
@@ -352,12 +353,11 @@ def monotonizing_orders(
         listings = _factored_listings(decomposition)
     for listing in listings:
         t = TotalOrder.from_ordered_elements(listing)
-        if is_order_preserving(f, t):
-            yield t
-        elif decomposition is not None:
+        if not is_order_preserving(f, t):
             raise ConsistencyError(
-                f"the factorization lists {listing}, for which the table is not order-preserving"
+                f"the ordering {listing} is listed, but the table is not order-preserving for it"
             )
+        yield t
 
 
 def exists_monotonizing_order(

@@ -293,7 +293,8 @@ class TestClassifyDecompose:
         monkeypatch.setattr("quasitrivial.structure.is_order_preserving", lambda f, t: False)
         code, out, err = run(capsys, "classify", peaked_file)
         assert (code, out) == (1, "")
-        assert err.startswith("inconsistency: the factorization lists (")
+        assert err.startswith("inconsistency: the ordering (")
+        assert err.endswith("is listed, but the table is not order-preserving for it\n")
 
     @pytest.mark.parametrize("n", (9, 12))
     def test_find_order_past_search_cap_is_first_classified(self, capsys, monkeypatch, n):
@@ -393,6 +394,49 @@ class TestRender:
         assert "weakorder" in err
 
 
+    def test_profile_reference_overrides_file_line(self, capsys, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("weakorder 4 : 2 1 2 3\ntotalorder 4 : 1 2 3 4\n")
+        _, out, _ = run(capsys, "render", "profile", str(path))
+        assert "x-axis: 1 2 3 4" in out.splitlines()
+        code, out, _ = run(capsys, "render", "profile", str(path), "--reference", "4 3 2 1")
+        assert code == 0
+        assert "x-axis: 4 3 2 1" in out.splitlines()
+
+    def test_profile_reference_line_of_another_size(self, capsys, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("weakorder 4 : 2 1 2 3\ntotalorder 3 : 1 2 3\n")
+        code, out, err = run(capsys, "render", "profile", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: reference and weak order have different cardinalities\n"
+
+    @pytest.mark.parametrize("kind, flag", [("profile", "--axis"), ("contour", "--reference")])
+    def test_each_kind_takes_only_its_own_flag(self, capsys, monkeypatch, kind, flag):
+        monkeypatch.setattr("sys.stdin", io.StringIO(PROFILE_OR_TABLE[kind]))
+        with pytest.raises(SystemExit) as exc:
+            main(["render", kind, "-", flag, "2 1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+# a profile file or a Cayley table, both on {1, 2}
+PROFILE_OR_TABLE = {"profile": "weakorder 2 : 1 2\n", "contour": "cayley 2\n1 1\n1 2\n"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "-", "--reference", ""),
+    ("classify", "-", "--reference", ""),
+    ("render", "contour", "-", "--axis", ""),
+    ("render", "profile", "-", "--reference", ""),
+])
+def test_empty_ordering_flag_is_an_input_error(capsys, monkeypatch, argv):
+    # an empty value is malformed, not the natural ordering
+    text = PROFILE_OR_TABLE["profile" if "profile" in argv else "contour"]
+    code, out, err = run_stdin(capsys, monkeypatch, text, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[-2]}: line 1, column 1: expected 2 element entries, got 0\n"
+
+
 class TestOracle:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "oracle", "qt-associative-count", "--n", "3")
@@ -414,6 +458,15 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "neutral-implies-quasitrivial", "--n", "3")
         assert code == 0
         assert out == "PASS\n"
+
+    @pytest.mark.parametrize("check, search", [
+        ("neutral-implies-quasitrivial", "check_neutral_monotone_implies_quasitrivial"),
+        ("commutative-implies-associative", "check_commutative_monotone_implies_associative"),
+    ])
+    def test_implication_fail_prints_witness(self, capsys, monkeypatch, check, search):
+        monkeypatch.setattr(f"quasitrivial.oracle.{search}", lambda n: (False, "cayley 2 : 1 2 2 1"))
+        code, out, err = run(capsys, "oracle", check, "--n", "2")
+        assert (code, out, err) == (1, "FAIL\ncayley 2 : 1 2 2 1\n", "")
 
     def test_monotonizable(self, capsys):
         code, out, _ = run(capsys, "oracle", "monotonizable-count", "--n", "4")

@@ -1,6 +1,7 @@
 """Property tests of the pruned searches, the order-preservation kernel and
-the scaled-integer series division against their plain references, and of
-the monotonizing orders listed from a factorization against the search."""
+the scaled-integer series division against their plain references, of the
+monotonizing orders listed from a factorization against the search, and of
+`decompose` on built tables and their one-cell mutants."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,16 @@ from itertools import islice
 
 import pytest
 
-from quasitrivial import ConsistencyError, FiniteBinOp, TotalOrder, build, is_order_preserving
+from quasitrivial import (
+    ConsistencyError,
+    DecompositionError,
+    FiniteBinOp,
+    TotalOrder,
+    build,
+    decompose,
+    is_order_preserving,
+    is_quasitrivial,
+)
 from quasitrivial.counting import _series_coefficient
 from quasitrivial.magmas import order_preserving_by_definition
 from quasitrivial.oracle import brute_count_quasitrivial_associative
@@ -61,6 +71,35 @@ def test_first_factored_orders_equal_search(d):
     assert list(islice(monotonizing_orders(f, d), 25)) == list(
         islice(monotonizing_orders(f), 25)
     )
+
+
+@st.composite
+def built_and_mutated(draw):
+    # a built qt-semigroup with n <= 6, left as it is, with one off-diagonal
+    # cell flipped to its other argument (still quasitrivial, perhaps not
+    # associative), or with one cell set to a third value (not quasitrivial)
+    d = draw(decompositions().filter(lambda d: d.order.n <= 6))
+    n = d.order.n
+    rows = [list(row) for row in build(d).rows]
+    x, y = draw(st.integers(1, n)), draw(st.integers(1, n))
+    mutation = draw(st.sampled_from(("none", "flip", "third")))
+    if mutation == "flip" and x != y:
+        rows[x - 1][y - 1] = x + y - rows[x - 1][y - 1]
+    elif mutation == "third" and n > 2:
+        rows[x - 1][y - 1] = draw(st.sampled_from([v for v in range(1, n + 1) if v not in (x, y)]))
+    return FiniteBinOp(rows)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(built_and_mutated())
+def test_decompose_rebuilds_or_names_the_failed_precondition(f):
+    try:
+        d = decompose(f)
+    except DecompositionError as exc:
+        expected = "not associative" if is_quasitrivial(f) else "not quasitrivial"
+        assert exc.reason == expected
+    else:
+        assert build(d) == f
 
 
 @st.composite

@@ -320,12 +320,14 @@ class TestMonotonizingOrders:
                 assert all(order_preserving_by_definition(f, t) for t in listed), f.rows
 
     def test_factored_route_checks_every_order(self, monkeypatch):
-        # an order the factorization lists but the table rejects is a bug
+        # an order either route lists but the table rejects is a bug, and
+        # the search and the factorization report it alike
         f = FiniteBinOp.projection(4, "left")
+        d = decompose(f)
         monkeypatch.setattr("quasitrivial.structure.is_order_preserving", lambda f, t: False)
-        assert list(monotonizing_orders(f)) == []
-        with pytest.raises(ConsistencyError):
-            exists_monotonizing_order(f, decompose(f))
+        for decomposition in (None, d):
+            with pytest.raises(ConsistencyError, match=r"^the ordering \(1, 2, 3, 4\) is listed"):
+                exists_monotonizing_order(f, decomposition)
 
     def test_factorization_of_another_size_rejected(self):
         f = FiniteBinOp.projection(4, "left")
