@@ -58,8 +58,8 @@ def test_first_orders_equal_factorial_filter(f):
 
 
 @st.composite
-def decompositions(draw):
-    n = draw(st.integers(1, 7))
+def decompositions(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
     rng = draw(st.randoms(use_true_random=False))
     return sampled_decomposition(n, rng, thin=draw(st.booleans()))
 
@@ -78,7 +78,7 @@ def built_and_mutated(draw):
     # a built qt-semigroup with n <= 6, left as it is, with one off-diagonal
     # cell flipped to its other argument (still quasitrivial, perhaps not
     # associative), or with one cell set to a third value (not quasitrivial)
-    d = draw(decompositions().filter(lambda d: d.order.n <= 6))
+    d = draw(decompositions(max_n=6))
     n = d.order.n
     rows = [list(row) for row in build(d).rows]
     x, y = draw(st.integers(1, n)), draw(st.integers(1, n))
