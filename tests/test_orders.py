@@ -64,6 +64,21 @@ class TestTypes:
         assert weak(2, 1, 2, 3).inverse() == weak(2, 3, 2, 1)
         assert order(4, 3, 5, 2, 1, 6).inverse().ordered_elements() == (6, 1, 2, 5, 3, 4)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_total_order_reads_like_its_weak_order(self, n):
+        for r in permutations(range(1, n + 1)):
+            t, w = TotalOrder(r), WeakOrder(r)
+            assert (t.n, str(t)) == (w.n, str(w))
+            assert [t.rank_of(x) for x in range(1, n + 1)] == list(r)
+            assert [w.rank_of(x) for x in range(1, n + 1)] == list(r)
+            elems = t.ordered_elements()
+            assert t.minimal_elements() == w.minimal_elements() == {elems[0]}
+            assert t.maximal_elements() == w.maximal_elements() == {elems[-1]}
+            inverse = t.inverse()
+            assert type(inverse) is TotalOrder
+            assert inverse.ordered_elements() == elems[::-1]
+            assert t != w
+
 
 class TestEquivalenceClasses:
     def test_worked_example(self):
