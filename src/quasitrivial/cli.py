@@ -25,8 +25,7 @@ from .formats import (
     emit_weak_order,
     load_table,
     parse_listing,
-    parse_total_order,
-    parse_weak_order,
+    parse_profile,
 )
 from .magmas import is_order_preserving
 from .orders import TotalOrder
@@ -155,16 +154,7 @@ def _cmd_render_contour(args) -> int:
 
 
 def _cmd_render_profile(args) -> int:
-    weak = total = None
-    for line in _read_input(args.input).splitlines():
-        stripped = line.strip()
-        if stripped.startswith("weakorder"):
-            weak = parse_weak_order(stripped)
-        elif stripped.startswith("totalorder"):
-            total = parse_total_order(stripped)
-    if weak is None:
-        print("profile input needs a 'weakorder <n> : ...' line", file=sys.stderr)
-        return 2
+    weak, total = parse_profile(_read_input(args.input))
     # the file's totalorder line is the default reference; the flag overrides it
     if total is None or args.reference is not None:
         total = _order_flag("--reference", args.reference, weak.n)

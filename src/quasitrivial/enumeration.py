@@ -24,7 +24,7 @@ from .magmas import (
     is_order_preserving,
     neutral_elements,
 )
-from .orders import TotalOrder, WeakOrder, is_single_peaked, is_weakly_single_peaked
+from .orders import TotalOrder, WeakOrder, is_weakly_single_peaked
 from .structure import LEFT, RIGHT, KimuraDecomposition, fat_ranks, projection_rows
 
 # `build` is no longer called here; it stays in this namespace because the
@@ -133,28 +133,27 @@ def total_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator
         raise CapacityError(f"total-order enumeration is limited to n <= {TOTAL_ORDER_MAX_N}")
     if n == 0:
         raise ValueError("total orders need n >= 1")
+    # made unchecked: a permutation of 1..n is a valid rank vector
     vectors = islice(permutations(range(1, n + 1)), shard_index, None, shard_count)
-    return (TotalOrder(vec) for vec in vectors)
+    return map(TotalOrder._trusted, vectors)
 
 
-# A peakedness family is indexed after its test: every ordering is built and
-# tested, and what passes is sliced.
-def _single_peaked_total_orders(n: int, shard_index: int = 0, shard_count: int = 1):
-    _check(n, shard_index, shard_count)
-    orders = total_orders(n)
-    ref = TotalOrder.natural(n)
-    kept = (t for t in orders if is_single_peaked(ref, t))
-    return islice(kept, shard_index, None, shard_count)
+def _peaked(stream):
+    """The family of the orderings of `stream` that are weakly single-peaked
+    for 1 < ... < n; on total orderings that is single-peakedness.  It is
+    indexed after its test: every ordering is built and tested, and what
+    passes is sliced."""
 
+    def family(n: int, shard_index: int = 0, shard_count: int = 1):
+        _check(n, shard_index, shard_count)
+        orders = stream(n)
+        if n == 0:
+            raise ValueError("peakedness families need n >= 1")
+        ref = TotalOrder.natural(n)
+        kept = (o for o in orders if is_weakly_single_peaked(ref, o))
+        return islice(kept, shard_index, None, shard_count)
 
-def _weakly_single_peaked_weak_orders(n: int, shard_index: int = 0, shard_count: int = 1):
-    _check(n, shard_index, shard_count)
-    orders = weak_orders(n)
-    if n == 0:
-        raise ValueError("peakedness families need n >= 1")
-    ref = TotalOrder.natural(n)
-    kept = (w for w in orders if is_weakly_single_peaked(ref, w))
-    return islice(kept, shard_index, None, shard_count)
+    return family
 
 
 def _check_operation_n(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
@@ -237,12 +236,8 @@ def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[Finit
 FAMILIES = {
     "total-orders": (total_orders, ORDER_FILTERS, "emit_total_order"),
     "weak-orders": (weak_orders, ORDER_FILTERS, "emit_weak_order"),
-    "single-peaked-total-orders": (
-        _single_peaked_total_orders, ORDER_FILTERS, "emit_total_order"
-    ),
-    "weakly-single-peaked-weak-orders": (
-        _weakly_single_peaked_weak_orders, ORDER_FILTERS, "emit_weak_order"
-    ),
+    "single-peaked-total-orders": (_peaked(total_orders), ORDER_FILTERS, "emit_total_order"),
+    "weakly-single-peaked-weak-orders": (_peaked(weak_orders), ORDER_FILTERS, "emit_weak_order"),
     "qt-semigroups": (qt_semigroups, OPERATION_FILTERS, "emit_cayley_line"),
 }
 

@@ -10,6 +10,7 @@ class ParseError(ValueError):
 
     def __init__(self, message, line, column):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

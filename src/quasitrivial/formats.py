@@ -13,6 +13,9 @@ One-line variants, used one object per line by the enumeration output:
     weakorder <n> : r1 r2 ... rn        (rank of each element)
     totalorder <n> : p1 p2 ... pn       (elements, smallest first)
 
+A profile file, read by `parse_profile`, is one `weakorder` line and at most
+one `totalorder` line, in either order; blank lines are allowed, nothing else.
+
 Parsers read the tokens of `text.split()` and reject malformed input with a
 1-based line/column diagnostic; a token's position is computed only then, by
 scanning the text again.  Emitters produce the canonical byte-deterministic
@@ -170,6 +173,32 @@ def parse_listing(text: str, n: int) -> TotalOrder:
     """An ordering of 1..n written as its elements, smallest first: the part
     of a `totalorder` line after the ':'.  Diagnostics point into `text`."""
     return _listing(text, text.split(), 0, n)
+
+
+def parse_profile(text: str) -> tuple[WeakOrder, TotalOrder | None]:
+    """The weak ordering of a profile file and its reference ordering, or
+    None if it has no `totalorder` line.  Diagnostics give the line of the
+    file."""
+    parsers = {"weakorder": parse_weak_order, "totalorder": parse_total_order}
+    found = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        column = line.index(tokens[0]) + 1
+        keyword = tokens[0]
+        if keyword not in parsers:
+            raise ParseError(f"expected 'weakorder' or 'totalorder', got {keyword!r}",
+                             lineno, column)
+        if keyword in found:
+            raise ParseError(f"a profile has one {keyword} line", lineno, column)
+        try:
+            found[keyword] = parsers[keyword](line)
+        except ParseError as exc:
+            raise ParseError(exc.message, lineno, exc.column) from None
+    if "weakorder" not in found:
+        raise ParseError("profile input needs a 'weakorder <n> : ...' line", 1, 1)
+    return found["weakorder"], found.get("totalorder")
 
 
 def emit_total_order(t: TotalOrder) -> str:

@@ -4,7 +4,10 @@ A weak ordering (total + transitive relation) is encoded by its rank vector:
 ``ranks[x-1]`` is the rank of element ``x``, ranks run 1..k with every value
 attained, and ``x`` is strictly below ``y`` exactly when ``rank(x) < rank(y)``.
 Rank 1 is the bottom class.  A total ordering is the antisymmetric special
-case where the rank vector is a permutation.
+case, the weak ordering whose classes are all singletons: its rank vector is
+a permutation.  `TotalOrder` subclasses `WeakOrder`, so every function taking
+a weak ordering accepts a total one.  Equality still compares the class: a
+`TotalOrder` never equals the `WeakOrder` of the same ranks.
 
 All values are immutable; every function here is pure.
 """
@@ -67,9 +70,10 @@ class WeakOrder:
         return frozenset(x for x, r in enumerate(self.ranks, start=1) if r == k)
 
     def inverse(self) -> "WeakOrder":
-        """The reversed ordering (ranks flipped top-to-bottom)."""
+        """The reversed ordering (ranks flipped top-to-bottom), of the same
+        class: the inverse of a total ordering is total."""
         k = self.k
-        return WeakOrder(tuple(k + 1 - r for r in self.ranks))
+        return type(self)(tuple(k + 1 - r for r in self.ranks))
 
     def is_total(self) -> bool:
         return self.k == self.n
@@ -85,10 +89,8 @@ class WeakOrder:
 
 
 @dataclass(frozen=True)
-class TotalOrder:
+class TotalOrder(WeakOrder):
     """A total ordering of {1..n}; the rank vector is a permutation."""
-
-    ranks: tuple[int, ...]
 
     def __post_init__(self):
         ranks = tuple(self.ranks)
@@ -113,13 +115,6 @@ class TotalOrder:
             ranks[x - 1] = pos
         return cls(tuple(ranks))
 
-    @property
-    def n(self) -> int:
-        return len(self.ranks)
-
-    def rank_of(self, x: int) -> int:
-        return self.ranks[x - 1]
-
     def larger(self, x: int, y: int) -> int:
         return x if self.ranks[x - 1] >= self.ranks[y - 1] else y
 
@@ -129,19 +124,6 @@ class TotalOrder:
         for x, r in enumerate(self.ranks, start=1):
             out[r - 1] = x
         return tuple(out)
-
-    def minimal_elements(self) -> frozenset[int]:
-        return frozenset({self.ordered_elements()[0]})
-
-    def maximal_elements(self) -> frozenset[int]:
-        return frozenset({self.ordered_elements()[-1]})
-
-    def inverse(self) -> "TotalOrder":
-        n = self.n
-        return TotalOrder(tuple(n + 1 - r for r in self.ranks))
-
-    def __str__(self) -> str:
-        return " < ".join(str(x) for x in self.ordered_elements())
 
 
 def strict_convex_hull(t: TotalOrder, x: int, y: int) -> frozenset[int]:
@@ -164,7 +146,8 @@ def is_convex(t: TotalOrder, subset: Iterable[int]) -> bool:
 
 
 def is_single_peaked(t: TotalOrder, p: TotalOrder) -> bool:
-    """True iff the t-middle of any three elements is never ranked last by p."""
+    """True iff the t-middle of any three elements is never ranked last by p:
+    `is_weakly_single_peaked` read on a total ordering."""
     return _peaked(t, p.ranks)
 
 

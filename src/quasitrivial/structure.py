@@ -424,13 +424,13 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
         wsp = is_weakly_single_peaked(reference, decomposition.order)
     monotone = []
     truncated = False
-    if decomposition is not None or n <= MONOTONE_SEARCH_MAX_N:
+    try:
         for t in monotonizing_orders(f, decomposition):
             if len(monotone) >= MONOTONE_LIST_LIMIT:
                 truncated = True
                 break
             monotone.append(t)
-    else:
+    except CapacityError:
         truncated = True
     return ClassificationReport(
         **vars(properties),

@@ -393,6 +393,21 @@ class TestRender:
         assert code == 2
         assert "weakorder" in err
 
+    @pytest.mark.parametrize("text, err", [
+        # once, the stray line was skipped and the last weakorder line drawn
+        ("weakorder 2 : 1 2\nhello\nweakorder 3 : 1 2 1\n",
+         "line 2, column 1: expected 'weakorder' or 'totalorder', got 'hello'"),
+        ("weakorder 3 : 1 2 1\ntotalorder 3 : 1 2 3\n\n  totalorder 3 : 3 2 1\n",
+         "line 4, column 3: a profile has one totalorder line"),
+        ("\nweakorder 3 : 1 2 1\ntotalorder 3 : 1 2 3 # natural\n",
+         "line 3, column 22: unexpected extra token '#'"),
+    ])
+    def test_profile_rejects_what_it_does_not_read(self, capsys, tmp_path, text, err):
+        path = tmp_path / "profile.txt"
+        path.write_text(text)
+        code, out, got = run(capsys, "render", "profile", str(path))
+        assert (code, out) == (2, "")
+        assert got == f"parse error: {err}\n"
 
     def test_profile_reference_overrides_file_line(self, capsys, tmp_path):
         path = tmp_path / "profile.txt"

@@ -68,7 +68,7 @@ class TestTypes:
     def test_total_order_reads_like_its_weak_order(self, n):
         for r in permutations(range(1, n + 1)):
             t, w = TotalOrder(r), WeakOrder(r)
-            assert (t.n, str(t)) == (w.n, str(w))
+            assert (t.n, t.k, t.classes(), str(t)) == (w.n, w.k, w.classes(), str(w))
             assert [t.rank_of(x) for x in range(1, n + 1)] == list(r)
             assert [w.rank_of(x) for x in range(1, n + 1)] == list(r)
             elems = t.ordered_elements()
@@ -77,7 +77,12 @@ class TestTypes:
             inverse = t.inverse()
             assert type(inverse) is TotalOrder
             assert inverse.ordered_elements() == elems[::-1]
+            trusted = TotalOrder._trusted(r)
+            assert trusted == t and hash(trusted) == hash(t)
             assert t != w
+
+    def test_total_order_is_a_weak_order(self):
+        assert isinstance(TotalOrder.natural(3), WeakOrder)
 
 
 class TestEquivalenceClasses:
