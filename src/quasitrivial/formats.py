@@ -185,8 +185,8 @@ def parse_profile(text: str) -> tuple[WeakOrder, TotalOrder | None]:
         tokens = line.split()
         if not tokens:
             continue
-        column = line.index(tokens[0]) + 1
         keyword = tokens[0]
+        column = line.index(keyword) + 1
         if keyword not in parsers:
             raise ParseError(f"expected 'weakorder' or 'totalorder', got {keyword!r}",
                              lineno, column)

@@ -69,8 +69,8 @@ class TestTypes:
         for r in permutations(range(1, n + 1)):
             t, w = TotalOrder(r), WeakOrder(r)
             assert (t.n, t.k, t.classes(), str(t)) == (w.n, w.k, w.classes(), str(w))
-            assert [t.rank_of(x) for x in range(1, n + 1)] == list(r)
-            assert [w.rank_of(x) for x in range(1, n + 1)] == list(r)
+            xs = range(1, n + 1)
+            assert [t.rank_of(x) for x in xs] == [w.rank_of(x) for x in xs] == list(r)
             elems = t.ordered_elements()
             assert t.minimal_elements() == w.minimal_elements() == {elems[0]}
             assert t.maximal_elements() == w.maximal_elements() == {elems[-1]}
