@@ -79,6 +79,8 @@ def _series_coefficient(
     denominator of its coefficients, and every scaled coefficient up to n must
     be an integer; a division that leaves a remainder raises ConsistencyError.
     """
+    if n < 0:
+        raise ValueError(f"a power series has no coefficient {n}")
     if denominator[0] == 0:
         raise ValueError("denominator needs a nonzero constant term")
     common = math.lcm(*(Fraction(d).denominator for d in denominator))

@@ -1,11 +1,13 @@
 """Exhaustive, deterministic generators for the counted object families.
 
 Generation order is part of the contract: weak orderings stream in
-lexicographic rank-vector order; the projection choices of an operation
-stream by binary counting (left before right, the bottom-most fat class
-being the most significant digit).  Each family is one stream function
-`(n, shard_index=0, shard_count=1)`, restartable by calling it again, and
-one row of `FAMILIES` with its filters and the name of its line emitter.
+lexicographic rank-vector order; the operations of one ordering stream as
+`itertools.product` over its fat classes (those of size >= 2), bottom class
+first, left before right.  The i-th tuple of that product is i in binary,
+the bottom class its most significant digit and right its 1.  Each family is
+one stream function `(n, shard_index=0, shard_count=1)`, restartable by
+calling it again, and one row of `FAMILIES` with its filters, each a
+predicate of the object alone, and the name of its line emitter.
 A stream checks its input when called, in this order: n < 0, the shard, the
 size cap, then n = 0 for an empty family.
 """
@@ -13,7 +15,8 @@ size cap, then n = 0 for an empty family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, permutations
+from functools import cache
+from itertools import islice, permutations, product
 from typing import Iterator
 
 from .errors import CapacityError
@@ -26,10 +29,7 @@ from .magmas import (
 )
 from .orders import TotalOrder, WeakOrder, is_weakly_single_peaked
 from .structure import LEFT, RIGHT, KimuraDecomposition, fat_ranks, projection_rows
-
-# `build` is no longer called here; it stays in this namespace because the
-# benchmark's tracer self-test (perfbench/selftest.py) patches
-# `enumeration.build`.
+# unused here, but the tracer self-test (perfbench/selftest.py) patches it
 from .structure import build  # noqa: F401
 
 WEAK_ORDER_MAX_N = 10
@@ -37,30 +37,34 @@ TOTAL_ORDER_MAX_N = 10
 QT_SEMIGROUP_MAX_N = 9
 
 
-def _unique_min_and_max_distinct(w, reference: TotalOrder | None) -> bool:
+# the reference ordering 1 < ... < n, made once per n (n <= 10 under the caps)
+_natural = cache(TotalOrder.natural)
+
+
+def _unique_min_and_max_distinct(w) -> bool:
     lo, hi = w.minimal_elements(), w.maximal_elements()
     return len(lo) == 1 and len(hi) == 1 and lo != hi
 
 
-def _neutral_and_annihilator_distinct(f: FiniteBinOp, reference: TotalOrder | None) -> bool:
+def _neutral_and_annihilator_distinct(f: FiniteBinOp) -> bool:
     e, a = neutral_elements(f), annihilator_elements(f)
     return bool(e) and bool(a) and e.isdisjoint(a)
 
 
-# Each filter name maps to its predicate (object, reference ordering) -> bool.
-# A predicate looks its functions up by name when it is called, so a module
-# global replaced after import (a tracer's wrapper, say) is the one called.
+# Each filter name maps to its predicate object -> bool.  A predicate looks
+# its functions up by name when it is called, so a module global replaced
+# after import (a tracer's wrapper, say) is the one called.
 ORDER_FILTERS = {
-    "unique-min": lambda w, ref: len(w.minimal_elements()) == 1,
-    "unique-max": lambda w, ref: len(w.maximal_elements()) == 1,
+    "unique-min": lambda w: len(w.minimal_elements()) == 1,
+    "unique-max": lambda w: len(w.maximal_elements()) == 1,
     "unique-min-and-max-distinct": _unique_min_and_max_distinct,
 }
 OPERATION_FILTERS = {
-    "neutral": lambda f, ref: bool(neutral_elements(f)),
-    "annihilator": lambda f, ref: bool(annihilator_elements(f)),
+    "neutral": lambda f: bool(neutral_elements(f)),
+    "annihilator": lambda f: bool(annihilator_elements(f)),
     "neutral-and-annihilator-distinct": _neutral_and_annihilator_distinct,
-    "commutative": lambda f, ref: is_commutative(f),
-    "monotone-for-reference": lambda f, ref: is_order_preserving(f, ref),
+    "commutative": lambda f: is_commutative(f),
+    "monotone-for-reference": lambda f: is_order_preserving(f, _natural(f.n)),
 }
 
 
@@ -149,7 +153,7 @@ def _peaked(stream):
         orders = stream(n)
         if n == 0:
             raise ValueError("peakedness families need n >= 1")
-        ref = TotalOrder.natural(n)
+        ref = _natural(n)
         kept = (o for o in orders if is_weakly_single_peaked(ref, o))
         return islice(kept, shard_index, None, shard_count)
 
@@ -166,42 +170,30 @@ def _check_operation_n(n: int, shard_index: int = 0, shard_count: int = 1) -> No
         raise ValueError("operation enumeration needs n >= 1")
 
 
-def _choice_shifts(fat: list[int]) -> dict[int, int]:
-    """For choice number `bits` of an ordering with fat classes `fat`, the
-    class of rank r is a right projection iff bit ``shifts[r]`` of `bits` is
-    set: the bottom-most fat class is the most significant bit, and left (0)
-    comes before right (1)."""
-    m = len(fat)
-    return {rank: m - 1 - j for j, rank in enumerate(fat)}
+@cache
+def _sides(m: int) -> tuple[tuple[int, ...], ...]:
+    """The sides of m fat classes for each table of one ordering, in stream
+    order, 0 for left and 1 for right, each with a trailing 0.  A fat class
+    holds two elements, so m <= n // 2 <= 4 under the size cap."""
+    return tuple((*sides, 0) for sides in product((0, 1), repeat=m))
 
 
 def kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
-    """All factored forms on {1..n}: weak orderings in lexicographic order,
-    within one ordering the projection choices counted in binary with left
-    before right (bottom-most fat class most significant)."""
+    """All factored forms on {1..n}, in the stream order of the module."""
     _check_operation_n(n)
-    return _kimura_decompositions(n)
-
-
-def _kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
-    for order in weak_orders(n):
-        shifts = _choice_shifts(fat_ranks(order))
-        for bits in range(1 << len(shifts)):
-            choices = tuple(
-                (rank, RIGHT if bits >> shift & 1 else LEFT) for rank, shift in shifts.items()
-            )
-            yield KimuraDecomposition(order, choices)
+    return (
+        KimuraDecomposition(order, tuple(zip(fat, sides)))
+        for order in weak_orders(n)
+        for fat in [fat_ranks(order)]
+        for sides in product((LEFT, RIGHT), repeat=len(fat))
+    )
 
 
 def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[FiniteBinOp]:
     """All associative quasitrivial operations on {1..n}, built structurally
     (never by filtering raw tables; that route lives in the oracle module),
-    in the order of `kimura_decompositions`.
-
-    With a shard, only the tables whose stream index is congruent to
-    `shard_index` modulo `shard_count` are built.  The tables of one weak
-    ordering hold stream indices [i, i + 2^m), m its number of fat classes;
-    an ordering whose block holds none of the shard's indices is skipped.
+    in the order of `kimura_decompositions`.  A shard builds only the tables
+    whose stream index is congruent to `shard_index` modulo `shard_count`.
     """
     _check_operation_n(n, shard_index, shard_count)
     return _qt_semigroups(n, shard_index, shard_count)
@@ -210,7 +202,9 @@ def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterato
 def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[FiniteBinOp]:
     # the rows come from `projection_rows`, so every table is valid as built
     make = FiniteBinOp._trusted
-    start = 0  # stream index of the first table of the current ordering
+    # the tables of one ordering hold stream indices [start, start + 2^m), m
+    # its number of fat classes; a block with none of the shard's is skipped
+    start = 0
     for order in weak_orders(n):
         fat = fat_ranks(order)
         size = 1 << len(fat)
@@ -218,15 +212,13 @@ def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[Finit
         start += size
         if first >= size:
             continue
-        shifts = _choice_shifts(fat)
         # row x of each table is one of the pair shared by all 2^m tables,
-        # picked by the choice bit of x's class (any bit for a singleton)
-        keyed = [
-            (pair, shifts.get(r, 0))
-            for pair, r in zip(projection_rows(order), order.ranks)
-        ]
-        for bits in range(first, size, shard_count):
-            yield make(tuple([pair[bits >> shift & 1] for pair, shift in keyed]))
+        # picked by the side of x's class; a singleton reads the trailing 0,
+        # its pair holding one row twice
+        slot = {rank: j for j, rank in enumerate(fat)}
+        keyed = [(pair, slot.get(r, -1)) for pair, r in zip(projection_rows(order), order.ranks)]
+        for sides in _sides(len(fat))[first::shard_count]:
+            yield make(tuple([pair[sides[j]] for pair, j in keyed]))
 
 
 # Each family's stream, the filters that apply to its objects, and the name
@@ -276,9 +268,8 @@ def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
     base = stream(spec.n, shard_index, shard_count)
     if not spec.filters:
         return base
-    reference = TotalOrder.natural(spec.n) if spec.n >= 1 else None
     tests = [table[name] for name in sorted(spec.filters)]
-    return (obj for obj in base if all(test(obj, reference) for test in tests))
+    return (obj for obj in base if all(test(obj) for test in tests))
 
 
 def count(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1) -> int:

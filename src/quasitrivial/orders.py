@@ -50,10 +50,12 @@ class WeakOrder:
         return max(self.ranks) if self.ranks else 0
 
     def rank_of(self, x: int) -> int:
+        if not 1 <= x <= len(self.ranks):
+            raise ValueError(f"element {x} is not in 1..{len(self.ranks)}")
         return self.ranks[x - 1]
 
     def equiv(self, x: int, y: int) -> bool:
-        return self.ranks[x - 1] == self.ranks[y - 1]
+        return self.rank_of(x) == self.rank_of(y)
 
     def classes(self) -> tuple[frozenset[int], ...]:
         """The ordered partition, bottom class first."""
@@ -161,6 +163,8 @@ def _peaked(t, ranks):
     """No t-middle of three elements ranked at or above both ends, unless all
     three share a rank; three distinct elements of a total order never do, so
     the one walk serves both orderings."""
+    if len(t.ranks) != len(ranks):
+        raise ValueError("orderings have different cardinalities")
     elems = t.ordered_elements()
     n = len(elems)
     for j in range(1, n - 1):
@@ -181,6 +185,8 @@ def _peaked(t, ranks):
 def is_valley_free(t: TotalOrder, w: WeakOrder) -> bool:
     """True iff no t-middle element sits strictly above both of its t-neighbours
     in w (no V-shaped triple in the profile graph)."""
+    if len(t.ranks) != len(w.ranks):
+        raise ValueError("orderings have different cardinalities")
     elems = t.ordered_elements()
     ranks = w.ranks
     n = len(elems)
@@ -196,10 +202,12 @@ def is_valley_free(t: TotalOrder, w: WeakOrder) -> bool:
 def lower_sets_convex(t: TotalOrder, w: WeakOrder) -> bool:
     """Equivalent formulation of `is_valley_free`: every lower set
     {x : x weakly below threshold} is convex for t."""
-    for r in range(1, w.k + 1):
-        if not is_convex(t, (x for x in range(1, w.n + 1) if w.ranks[x - 1] <= r)):
-            return False
-    return True
+    if len(t.ranks) != len(w.ranks):
+        raise ValueError("orderings have different cardinalities")
+    return all(
+        is_convex(t, (x for x, rx in enumerate(w.ranks, start=1) if rx <= r))
+        for r in range(1, w.k + 1)
+    )
 
 
 def plateaus(t: TotalOrder, w: WeakOrder) -> tuple[frozenset[int], ...]:
@@ -209,6 +217,8 @@ def plateaus(t: TotalOrder, w: WeakOrder) -> tuple[frozenset[int], ...]:
     exactly one such run, so checks that only depend on the class of a plateau
     may quantify over these runs alone.
     """
+    if len(t.ranks) != len(w.ranks):
+        raise ValueError("orderings have different cardinalities")
     elems = t.ordered_elements()
     runs = []
     start = 0
@@ -224,13 +234,9 @@ def plateaus_are_minimal(t: TotalOrder, w: WeakOrder) -> bool:
     """True iff no element of X sits strictly below a plateau.
 
     Checking maximal runs suffices: a sub-plateau has the same class, hence
-    the same set of elements below it.
+    the same set of elements below it.  `plateaus` checks the sizes.
     """
-    for run in plateaus(t, w):
-        r = w.rank_of(next(iter(run)))
-        if r > 1:
-            return False
-    return True
+    return all(w.rank_of(min(run)) == 1 for run in plateaus(t, w))
 
 
 @dataclass(frozen=True)
@@ -253,6 +259,7 @@ def profile_patterns(t: TotalOrder, w: WeakOrder) -> PatternFlags:
     Reversed L: some plateau with a strictly-below element to its t-right.
 
     All three absent at once is equivalent to `is_weakly_single_peaked`.
+    `plateaus` checks the sizes before any rank is read.
     """
     elems = t.ordered_elements()
     ranks = w.ranks

@@ -51,6 +51,8 @@ class KimuraDecomposition:
     def __post_init__(self):
         choices = tuple((int(r), s) for r, s in self.choices)
         object.__setattr__(self, "choices", choices)
+        if not self.order.ranks:
+            raise ValueError("a decomposition needs n >= 1")
         big = fat_ranks(self.order)
         if [r for r, _ in choices] != big:
             raise ValueError(f"choices must cover exactly the class ranks {big}")
@@ -107,12 +109,11 @@ def projection_rows(order: WeakOrder) -> tuple[tuple[tuple[int, ...], tuple[int,
 
 def build(d: KimuraDecomposition) -> FiniteBinOp:
     """The table of a decomposition: across distinct classes the strictly
-    larger argument wins, inside a class the chosen projection applies."""
+    larger argument wins, inside a class the chosen projection applies.
+    `d` was checked when made, so its rows are valid and built unchecked."""
     side = dict(d.choices)
-    pairs = projection_rows(d.order)
-    return FiniteBinOp(
-        tuple(pair[side.get(r) == RIGHT] for pair, r in zip(pairs, d.order.ranks))
-    )
+    rows = zip(projection_rows(d.order), d.order.ranks)
+    return FiniteBinOp._trusted(tuple([pair[side.get(r) == RIGHT] for pair, r in rows]))
 
 
 def _require_decomposable(f: FiniteBinOp) -> None:

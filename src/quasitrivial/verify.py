@@ -31,9 +31,7 @@ from .magmas import (
 from .orders import TotalOrder, is_single_peaked, is_weakly_single_peaked, profile_patterns
 from .structure import build, decompose
 
-# `count_by_enumeration` is no longer called here; it stays in this namespace
-# because the benchmark's tracer (perfbench/tracer.py) wraps
-# `verify.count_by_enumeration`.
+# unused here, but the benchmark's tracer (perfbench/tracer.py) wraps it
 from .counting import count_by_enumeration  # noqa: F401
 
 
@@ -141,7 +139,7 @@ def _check_roundtrip() -> str:
         seen = 0
         for d in kimura_decompositions(n):
             f = build(d)
-            if decompose(f) != d or build(decompose(f)) != f:
+            if (back := decompose(f)) != d or build(back) != f:
                 raise CheckFailure(f"roundtrip failed for {d}")
             seen += 1
         if seen != counting.q_recurrence(n):

@@ -103,6 +103,13 @@ class TestPowerSeries:
         with pytest.raises(ValueError):
             C._series_coefficient((1,), (Fraction(0), Fraction(1)), 3, 1)
 
+    @pytest.mark.parametrize("gf", [C.U_GF, C.V_GF])
+    @pytest.mark.parametrize("n", [-1, -4])
+    def test_negative_index_is_a_value_error(self, gf, n):
+        # bad input, not an IndexError from past the solved coefficients
+        with pytest.raises(ValueError, match=f"no coefficient {n}"):
+            C.rational_gf_term(*gf, n)
+
 
 class TestOrderedBell:
     def test_listed_values(self):

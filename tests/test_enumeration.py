@@ -155,6 +155,14 @@ class TestOperationStream:
             ("right", "left"),
             ("right", "right"),
         ]
+        # in general the i-th factored form of an ordering spells i, right 1
+        for n in range(1, 7):
+            for order, block in itertools.groupby(kimura_decompositions(n), lambda d: d.order):
+                block = list(block)
+                assert len(block) == 2 ** len(block[0].choices)
+                for i, d in enumerate(block):
+                    digits = "".join("1" if side == "right" else "0" for _, side in d.choices)
+                    assert int(digits or "0", 2) == i
 
     def test_all_are_associative_quasitrivial_without_duplicates(self):
         for n in range(1, 6):
@@ -239,6 +247,16 @@ class TestCountsAgainstFormulas:
             spec = FamilySpec("qt-semigroups", n, frozenset({"commutative"}))
             direct = sum(1 for f in qt_semigroups(n) if is_commutative(f))
             assert count(spec) == direct == math.factorial(n)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_filters_are_predicates_of_the_object(family):
+    # `generate` keeps exactly the objects every named predicate, called on
+    # the object alone, accepts
+    stream, filters, _ = FAMILIES[family]
+    for name, test in filters.items():
+        spec = FamilySpec(family, 4, frozenset({name}))
+        assert list(generate(spec)) == [obj for obj in stream(4) if test(obj)]
 
 
 class TestPeakedFamilies:

@@ -103,6 +103,11 @@ class TestOrderPreserving:
     def test_x6_example(self, x6_commutative):
         assert is_order_preserving(x6_commutative, TotalOrder.natural(6))
 
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_ordering_of_another_size_is_rejected(self, x6_commutative, m):
+        with pytest.raises(ValueError, match="different cardinalities"):
+            is_order_preserving(x6_commutative, TotalOrder.natural(m))
+
     def test_never_monotone_example(self, x4_never_monotone):
         for p in permutations(range(1, 5)):
             t = TotalOrder.from_ordered_elements(p)

@@ -2,7 +2,17 @@
 
 import pytest
 
-from quasitrivial import CapacityError
+from quasitrivial import (
+    CapacityError,
+    FiniteBinOp,
+    TotalOrder,
+    is_associative,
+    is_commutative,
+    is_order_preserving,
+    neutral_elements,
+    oracle,
+)
+from quasitrivial.formats import parse_cayley
 from quasitrivial.oracle import (
     brute_count_monotonizable,
     brute_count_quasitrivial_associative,
@@ -55,6 +65,34 @@ class TestImplicationSearches:
             ok, witness = check_commutative_monotone_implies_associative(n)
             assert ok
             assert witness is None
+
+    @pytest.mark.parametrize("search, last_test, n", [
+        (check_neutral_monotone_implies_quasitrivial, "_quasitrivial_flat", 3),
+        (check_commutative_monotone_implies_associative, "_is_associative_flat", 4),
+    ])
+    def test_counterexample_text_is_the_table(self, monkeypatch, search, last_test, n):
+        # the search's last test made to fail: the first table that reaches it
+        # is reported, and its text must read back as that very table
+        seen = []
+
+        def fails(table, *args):
+            seen.append(list(table))
+            return False
+
+        monkeypatch.setattr(oracle, last_test, fails)
+        ok, witness = search(n)
+        assert not ok
+        flat = seen[-1]
+        table = FiniteBinOp(tuple(
+            tuple(v + 1 for v in flat[x * n:(x + 1) * n]) for x in range(n)
+        ))
+        assert parse_cayley(witness) == table
+        # it passed every test before the last one
+        assert is_order_preserving(table, TotalOrder.natural(n))
+        if last_test == "_quasitrivial_flat":
+            assert is_associative(table) and neutral_elements(table)
+        else:
+            assert is_commutative(table)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

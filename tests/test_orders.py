@@ -342,3 +342,30 @@ class TestMinMaxElements:
         assert weak(1, 1, 1).minimal_elements() == {1, 2, 3}
         assert weak(1, 1, 1).maximal_elements() == {1, 2, 3}
         assert weak(1, 3, 3, 2).maximal_elements() == {2, 3}
+
+
+PAIRED = (is_single_peaked, is_weakly_single_peaked, is_valley_free, lower_sets_convex,
+          plateaus, plateaus_are_minimal, profile_patterns)
+
+
+class TestSizesAndElements:
+    @pytest.mark.parametrize("fn", PAIRED, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("t, w", [
+        (TotalOrder.natural(3), TotalOrder((1, 2, 3, 4))),
+        (TotalOrder.natural(4), TotalOrder((1, 2, 3))),
+        (TotalOrder.natural(3), weak(1, 2, 1, 1)),
+        (TotalOrder.natural(4), weak(1, 2, 1)),
+    ], ids=["shorter-axis", "longer-axis", "shorter-axis-weak", "longer-axis-weak"])
+    def test_orderings_of_different_sizes_are_rejected(self, fn, t, w):
+        # an answer here would be silent nonsense, an IndexError a traceback
+        with pytest.raises(ValueError, match="different cardinalities"):
+            fn(t, w)
+
+    @pytest.mark.parametrize("x", [0, -1, 4])
+    def test_elements_outside_the_set_are_rejected(self, x):
+        # 0 and -1 would be read through negative indices
+        w, t = weak(1, 2, 1), TotalOrder.natural(3)
+        for ask in (lambda: w.rank_of(x), lambda: w.equiv(x, 3), lambda: w.equiv(3, x),
+                    lambda: is_convex(t, [x]), lambda: is_convex(t, [1, x])):
+            with pytest.raises(ValueError, match=f"element {x} is not in 1..3"):
+                ask()

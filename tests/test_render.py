@@ -159,6 +159,11 @@ def test_profile_bytes_pinned():
     assert digest.hexdigest() == PROFILE_SHA256
 
 
+def test_profile_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'png'"):
+        render_profile(TotalOrder.natural(3), WeakOrder((1, 2, 1)), fmt="png")
+
+
 class TestProfileSvg:
     def test_valid_and_deterministic(self):
         t, w = TotalOrder.natural(4), WeakOrder((1, 3, 3, 2))

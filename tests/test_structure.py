@@ -54,6 +54,11 @@ class TestDecompositionType:
         with pytest.raises(ValueError):
             KimuraDecomposition(WeakOrder((1, 1)), ((1, "up"),))
 
+    def test_requires_a_nonempty_set(self):
+        # `build` trusts a decomposition, so the empty table is refused here
+        with pytest.raises(ValueError, match="n >= 1"):
+            KimuraDecomposition(WeakOrder(()), ())
+
 
 class TestBuild:
     def test_worked_example(self, x4_peaked):
@@ -67,6 +72,15 @@ class TestBuild:
     def test_single_class_left_gives_projection(self):
         d = decomp((1, 1, 1), **{"1": "left"})
         assert build(d) == FiniteBinOp.projection(3, "left")
+
+    def test_tables_pass_the_constructor_check(self):
+        # built unchecked, each table equals (and hashes like) its checked copy
+        for n in range(1, 6):
+            for d in kimura_decompositions(n):
+                f = build(d)
+                checked = FiniteBinOp(f.rows)
+                assert f == checked and hash(f) == hash(checked)
+                assert type(f.rows) is tuple and all(type(row) is tuple for row in f.rows)
 
     def test_always_associative_and_quasitrivial(self):
         for n in range(1, 6):
@@ -387,6 +401,11 @@ class TestClassify:
         assert report.order_preserving_for_reference is False
         assert report.weakly_single_peaked_for_reference is False
         assert report.associative and report.quasitrivial
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_reference_of_another_size_is_rejected(self, x4_peaked, m):
+        with pytest.raises(ValueError, match="wrong cardinality"):
+            classify(x4_peaked, TotalOrder.natural(m))
 
     def test_monotone_list_truncation(self):
         f = FiniteBinOp.projection(5, "left")  # monotone for all 120 orderings
