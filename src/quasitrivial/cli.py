@@ -155,6 +155,8 @@ def _cmd_render_contour(args) -> int:
 
 def _cmd_render_profile(args) -> int:
     weak, total = parse_profile(_read_input(args.input))
+    if not weak.n:
+        raise ValueError("a profile needs a weak ordering of n >= 1 elements")
     # the file's totalorder line is the default reference; the flag overrides it
     if total is None or args.reference is not None:
         total = _order_flag("--reference", args.reference, weak.n)

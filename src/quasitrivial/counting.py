@@ -3,9 +3,10 @@
 Every sequence with several derivations exposes one function per derivation
 (`q_closed`, `q_recurrence`, `q_egf`, `q_appendix`, ...); the derivations are
 independent code paths and the test suite requires them to agree exactly.
-All arithmetic is exact and nothing here rounds.  Power series are divided in
-integers scaled by a caller-given factor (n! for an egf), and every division
-is asserted exact.
+Each derivation computes its term from n alone, bottom-up, and keeps nothing
+between calls.  All arithmetic is exact and nothing here rounds.  Power
+series are divided in integers scaled by a caller-given factor (n! for an
+egf), and every division is asserted exact.
 
 `SEQUENCES` is the one place that lists a sequence's routes: its derivations,
 its direct enumeration, its brute-force search, the first index of each, the
@@ -17,6 +18,7 @@ smallest n the sequence is defined for, and its published terms.  `count`,
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
@@ -40,24 +42,19 @@ def _from_zero(fn: Callable[[int], int]) -> Callable[[int], int]:
     return checked
 
 
-# Rows 0, 1, ... of the Stirling triangle computed so far; row m holds
-# S(m, 0) .. S(m, m).  Grown bottom-up, so no index is too deep for the stack.
-_STIRLING2_ROWS: list[list[int]] = [[1]]
+def _stirling2_rows(n: int) -> Iterator[list[int]]:
+    """Rows 0..n of the Stirling triangle, each built from the last; row m
+    holds S(m, 0) .. S(m, m).  Bottom-up, so no n is too deep for the stack."""
+    row = [1]
+    yield row
+    for m in range(1, n + 1):
+        row = [0, *(j * row[j] + row[j - 1] for j in range(1, m)), 1]
+        yield row
 
 
-def _stirling2(n: int, k: int) -> int:
-    rows = _STIRLING2_ROWS
-    while len(rows) <= n:
-        prev = rows[-1]
-        m = len(rows)
-        rows.append([0] + [j * (prev[j] if j < m else 0) + prev[j - 1] for j in range(1, m + 1)])
-    return rows[n][k]
-
-
-def _stirling2_rows(n: int) -> list[list[int]]:
-    """Rows 0..n (at least) of the Stirling triangle."""
-    _stirling2(n, 0)
-    return _STIRLING2_ROWS
+def _stirling2_row(n: int) -> list[int]:
+    """Row n of the Stirling triangle, holding at most two rows at a time."""
+    return deque(_stirling2_rows(n), maxlen=1)[0]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -65,7 +62,7 @@ def stirling2(n: int, k: int) -> int:
     recurrence."""
     if not 0 <= k <= n:
         raise ValueError(f"stirling2 needs 0 <= k <= n, got ({n}, {k})")
-    return _stirling2(n, k)
+    return _stirling2_row(n)[k]
 
 
 def _series_coefficient(
@@ -121,8 +118,8 @@ def _binomial_row(n: int) -> list[int]:
 
 @_from_zero
 def ordered_bell_formula(n: int) -> int:
-    """p(n) = sum_k S(n,k) k!."""
-    return sum(stirling2(n, k) * math.factorial(k) for k in range(n + 1))
+    """p(n) = sum_k S(n,k) k!, over row n of the Stirling triangle."""
+    return sum(s * math.factorial(k) for k, s in enumerate(_stirling2_row(n)))
 
 
 @_from_zero
@@ -155,7 +152,7 @@ def q_closed(n: int) -> int:
     q(n) = sum_i 2^i sum_k (-1)^k C(n,k) S(n-k,i) (i+k)!."""
     signed = [(-1) ** k * c for k, c in enumerate(_binomial_row(n))]
     factorial = [math.factorial(k) for k in range(n + 1)]
-    stirling = _stirling2_rows(n)
+    stirling = list(_stirling2_rows(n))
     total = 0
     for i in range(n + 1):
         inner = 0
@@ -165,23 +162,14 @@ def q_closed(n: int) -> int:
     return total if n else 1
 
 
-# q(0), q(1), ... computed so far by `q_recurrence`; q_neutral and q_both
-# reuse them.  _Q_PASCAL is row len(_Q_TERMS) of Pascal's triangle, the
-# binomials C(m+1, k) of the step that appends q(m+1).
-_Q_TERMS: list[int] = [1]
-_Q_PASCAL: list[int] = [1, 1]
-
-
 @_from_zero
 def q_recurrence(n: int) -> int:
-    """q(n+1) = (n+1) q(n) + 2 sum_{k<n} C(n+1,k) q(k), q(0) = 1."""
-    terms, row = _Q_TERMS, _Q_PASCAL
-    while len(terms) <= n:
-        m = len(terms) - 1
-        value = (m + 1) * terms[m] + 2 * sum(c * t for c, t in zip(row, terms[:m]))
-        next_row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
-        terms.append(value)
-        row[:] = next_row
+    """q(m+1) = (m+1) q(m) + 2 sum_{k<m} C(m+1,k) q(k), q(0) = 1, with each
+    row of Pascal's triangle added up from the last."""
+    terms, row = [1], [1, 1]
+    for m in range(n):
+        terms.append((m + 1) * terms[m] + 2 * sum(c * t for c, t in zip(row, terms[:m])))
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
     return terms[n]
 
 
@@ -204,7 +192,7 @@ def q_appendix(n: int) -> int:
         return 1
     binomial = _binomial_row(n)
     signed_factorial = [(-1) ** k * math.factorial(k) for k in range(n + 1)]
-    stirling = _stirling2_rows(n)
+    stirling = list(_stirling2_rows(n))
     total = 0
     for i in range(n + 1):
         inner = 0

@@ -13,6 +13,9 @@ One-line variants, used one object per line by the enumeration output:
     weakorder <n> : r1 r2 ... rn        (rank of each element)
     totalorder <n> : p1 p2 ... pn       (elements, smallest first)
 
+Every n is at least 1, except on a `weakorder` line: `weakorder 0 : ` is the
+one weak ordering of the empty set.
+
 A profile file, read by `parse_profile`, is one `weakorder` line and at most
 one `totalorder` line, in either order; blank lines are allowed, nothing else.
 
@@ -56,8 +59,8 @@ def _int(text: str, tokens: list[str], index: int, what: str) -> int:
         raise _error(text, index, f"expected {what}, got {tokens[index]!r}") from None
 
 
-def _header(text: str, tokens: list[str], keyword: str, one_line: bool) -> int:
-    """The cardinality after `keyword`; a one-line form must put ':' next."""
+def _header(text: str, tokens: list[str], keyword: str, one_line: bool, least: int = 1) -> int:
+    """The cardinality after `keyword`, at least `least`; a one-line form puts ':' next."""
     if not tokens:
         raise ParseError("empty input", 1, 1)
     if one_line and (len(tokens) < 3 or tokens[2] != ":"):
@@ -68,8 +71,9 @@ def _header(text: str, tokens: list[str], keyword: str, one_line: bool) -> int:
     if len(tokens) < 2:
         raise _error(text, 0, "missing cardinality after keyword", len(keyword))
     n = _int(text, tokens, 1, "a cardinality")
-    if n < 1:
-        raise _error(text, 1, f"cardinality must be positive, got {n}")
+    if n < least:
+        sign = "positive" if least else "nonnegative"
+        raise _error(text, 1, f"cardinality must be {sign}, got {n}")
     return n
 
 
@@ -83,10 +87,10 @@ def _entries(text: str, tokens: list[str], start: int, count: int, n: int, what:
         raise _error(text, start + count, f"unexpected extra token {tokens[start + count]!r}")
     try:
         values = list(map(int, tokens[start:]))
+        if 1 <= min(values, default=1) and max(values, default=n) <= n:
+            return values
     except ValueError:
-        values = []
-    if values and 1 <= min(values) and max(values) <= n:
-        return values
+        pass
     # some entry is bad: report the first, in the order of the text
     for index in range(start, len(tokens)):
         v = _int(text, tokens, index, "an integer")
@@ -137,7 +141,7 @@ def load_table(text: str) -> FiniteBinOp:
 
 def parse_weak_order(text: str) -> WeakOrder:
     tokens = text.split()
-    n = _header(text, tokens, "weakorder", one_line=True)
+    n = _header(text, tokens, "weakorder", one_line=True, least=0)
     ranks = _entries(text, tokens, 3, n, n, "rank")
     try:
         return WeakOrder(tuple(ranks))

@@ -68,7 +68,10 @@ class FiniteBinOp:
         return len(self.rows)
 
     def __call__(self, x: int, y: int) -> int:
-        return self.rows[x - 1][y - 1]
+        n = len(self.rows)
+        if 0 < x <= n and 0 < y <= n:
+            return self.rows[x - 1][y - 1]
+        raise ValueError(f"element {y if 0 < x <= n else x} is not in 1..{n}")
 
 
 def is_associative(f: FiniteBinOp) -> bool:

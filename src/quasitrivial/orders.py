@@ -118,7 +118,7 @@ class TotalOrder(WeakOrder):
         return cls(tuple(ranks))
 
     def larger(self, x: int, y: int) -> int:
-        return x if self.ranks[x - 1] >= self.ranks[y - 1] else y
+        return x if self.rank_of(x) >= self.rank_of(y) else y
 
     def ordered_elements(self) -> tuple[int, ...]:
         """Elements listed from smallest to largest."""

@@ -214,7 +214,7 @@ def _check_theorem_counts() -> str:
             got += is_order_preserving(FiniteBinOp.max_under(t), ref)
             sp += is_single_peaked(ref, t)
         if got != counting.single_peaked_count(n):
-            raise CheckFailure(f"order-preserving commutative count at n={n} is {got}")
+            raise CheckFailure(f"order-preserving maxima of total orderings at n={n}: {got}")
         if sp != counting.single_peaked_count(n):
             raise CheckFailure(f"single-peaked count at n={n} is {sp}")
     return "commutative counts equal n! (n <= 6); order-preserving ones equal 2^(n-1) (n <= 8)"

@@ -9,9 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from quasitrivial import ConsistencyError, FiniteBinOp, build, counting, is_associative, verify
+from quasitrivial import (
+    ConsistencyError,
+    FiniteBinOp,
+    WeakOrder,
+    build,
+    counting,
+    is_associative,
+    structure,
+    verify,
+)
 from quasitrivial.cli import ENUMERATE_CHUNK_LINES, ORACLE_CHECKS, build_parser, main
 from quasitrivial.formats import emit_cayley, emit_cayley_line
+from quasitrivial.orders import PatternFlags
 from conftest import X3_NOT_QUASITRIVIAL, X4_NEVER_MONOTONE, X4_PEAKED, sampled_decomposition
 
 # `python -m` finds the package from here whether or not it is installed
@@ -296,6 +306,28 @@ class TestClassifyDecompose:
         assert err.startswith("inconsistency: the ordering (")
         assert err.endswith("is listed, but the table is not order-preserving for it\n")
 
+    @pytest.mark.parametrize("command, text, name, tamper, message", [
+        # the pairwise route reads one class, the degree route three
+        ("decompose", X4_PEAKED, "_pairwise_levels", lambda real: lambda f: [0] * f.n,
+         "pairwise and degree-based orderings disagree"),
+        # both routes read one class, on which the table is no projection
+        ("decompose", X4_PEAKED, "_ranks_from_levels",
+         lambda real: lambda levels: WeakOrder((1,) * len(levels)),
+         "class [1, 2, 3, 4] is not a projection on all pairs"),
+        # a table taken as commutative whose factorization has the class {1, 3}
+        ("classify", X4_PEAKED, "is_commutative", lambda real: lambda f: True,
+         "commutative factorization has a fat class"),
+        # tripled degrees order the elements alike, but no longer read 0, 2, 4
+        ("classify", "cayley 3\n1 2 3\n2 2 3\n3 3 3\n", "_degrees",
+         lambda real: lambda f: [3 * d for d in real(f)],
+         "structure and degree characterizations disagree"),
+    ], ids=["pairwise-vs-degrees", "projection", "fat-class", "max-vs-degrees"])
+    def test_broken_structure_route_is_a_failed_check(self, capsys, monkeypatch, command, text,
+                                                      name, tamper, message):
+        monkeypatch.setattr(structure, name, tamper(getattr(structure, name)))
+        code, out, err = run_stdin(capsys, monkeypatch, text, command, "-")
+        assert (code, out, err) == (1, "", f"inconsistency: {message}\n")
+
     @pytest.mark.parametrize("n", (9, 12))
     def test_find_order_past_search_cap_is_first_classified(self, capsys, monkeypatch, n):
         # a factorization lists the orders at any n: `check --find-order`
@@ -408,6 +440,15 @@ class TestRender:
         code, out, got = run(capsys, "render", "profile", str(path))
         assert (code, out) == (2, "")
         assert got == f"parse error: {err}\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--reference", "1"), ("--reference", "")])
+    def test_profile_of_the_empty_set_is_an_input_error(self, capsys, tmp_path, flags):
+        # `weakorder 0 : ` parses, but no total ordering of the empty set exists
+        path = tmp_path / "profile.txt"
+        path.write_text("weakorder 0 : \n")
+        code, out, err = run(capsys, "render", "profile", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: a profile needs a weak ordering of n >= 1 elements\n"
 
     def test_profile_reference_overrides_file_line(self, capsys, tmp_path):
         path = tmp_path / "profile.txt"
@@ -578,6 +619,64 @@ class TestVerify:
         with pytest.raises(verify.CheckFailure) as info:
             checks["oracle-counts"]()
         assert str(info.value) == "raw search gives q_copy(3) = 21, expected 20"
+
+
+def _never(*args):
+    return False
+
+
+_FLAT = "KimuraDecomposition(order=WeakOrder(ranks=(1,)), choices=())"
+
+# (check, module, name, replacement, detail): each `verify full` check that
+# is not a route check, made to fail by breaking one side of one comparison
+BROKEN_CHECKS = [
+    ("implication-searches", "oracle", "check_neutral_monotone_implies_quasitrivial",
+     lambda n: (False, "cayley 2 : 1 2 2 1"),
+     "neutral+monotone counterexample:\ncayley 2 : 1 2 2 1"),
+    ("implication-searches", "oracle", "check_commutative_monotone_implies_associative",
+     lambda n: (False, "cayley 2 : 1 2 2 1"),
+     "commutative+monotone counterexample:\ncayley 2 : 1 2 2 1"),
+    ("monotonizable-counts", "oracle", "brute_count_monotonizable", lambda n: n,
+     "monotonizable count at n=2 is 2, expected 4"),
+    ("factorization-roundtrip", "verify", "decompose", lambda f: None,
+     f"roundtrip failed for {_FLAT}"),
+    ("factorization-roundtrip", "counting", "q_recurrence", lambda n: n + 1,
+     "1 decompositions at n=1, expected q(1)"),
+    ("peakedness-pattern-theorem", "verify", "profile_patterns",
+     lambda t, w: PatternFlags(False, True, True), "pattern characterization fails for 1"),
+    ("peakedness-pattern-theorem", "counting", "ordered_bell", lambda n: n + 1,
+     "1 weak orderings at n=1, expected p(1)"),
+    ("monotone-equivalence", "verify", "is_order_preserving", _never,
+     f"monotonicity mismatch for {_FLAT}"),
+    ("connectivity-tests", "verify", "is_quasitrivial", _never,
+     "connectivity quasitriviality test fails on ((1,),)"),
+    ("connectivity-tests", "verify", "is_associative", _never,
+     "rectangle associativity test fails on ((1,),)"),
+    ("theorem-counts", "counting", "commutative_count", lambda n: n + 1,
+     "commutative count at n=1 differs from n!"),
+    ("theorem-counts", "verify", "is_order_preserving", _never,
+     "order-preserving commutative count at n=1 is 0"),
+    ("theorem-counts", "verify", "total_orders", lambda n: iter(()),
+     "order-preserving maxima of total orderings at n=1: 0"),
+    ("theorem-counts", "verify", "is_single_peaked", _never, "single-peaked count at n=1 is 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, module, name, replacement, detail", BROKEN_CHECKS,
+    ids=[f"{check}-{name}" for check, _, name, _, _ in BROKEN_CHECKS],
+)
+def test_broken_check_fails_naming_object_or_index(monkeypatch, check, module, name,
+                                                   replacement, detail):
+    # `full` narrowed to the one check, so each case runs it alone
+    monkeypatch.setattr(verify, "FULL_CHECKS", ((check, dict(verify.FULL_CHECKS)[check]),))
+    monkeypatch.setattr(f"quasitrivial.{module}.{name}", replacement)
+    assert verify.run_checks("full") == [verify.CheckResult(check, False, detail)]
+
+
+def test_unknown_verify_level():
+    with pytest.raises(ValueError, match="unknown verification level 'everything'"):
+        verify.run_checks("everything")
 
 
 class TestSubprocess:

@@ -1,6 +1,9 @@
 """Counting: golden tables, cross-method agreement, series, the registry."""
 
+import copy
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -58,6 +61,20 @@ class TestBasics:
     def test_stirling_range_check(self):
         with pytest.raises(ValueError):
             C.stirling2(2, 3)
+
+    def test_stirling_holds_one_row_at_a_time(self):
+        # row n alone: two rows at the peak, not the whole triangle
+        tracemalloc.start()
+        try:
+            C.stirling2(300, 150)
+            row_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            triangle = list(C._stirling2_rows(300))
+            triangle_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert triangle[300][150] == C.stirling2(300, 150)
+        assert 20 * row_peak < triangle_peak
 
 
 class TestPowerSeries:
@@ -121,6 +138,11 @@ class TestOrderedBell:
         for n in range(31):
             assert C.ordered_bell(n) == C.ordered_bell_formula(n) == C.ordered_bell_egf(n)
 
+    def test_formula_reads_one_stirling_row(self, monkeypatch):
+        # not stirling2 once per k, which would walk the triangle n + 1 times
+        monkeypatch.setattr(C, "stirling2", None)
+        assert C.ordered_bell_formula(30) == C.ordered_bell(30)
+
 
 def q_terms_by_pascal_rows(n):
     """q(0..n) by q(m) = 2 sum_{k<m} C(m,k) q(k) - m q(m-1), each row of
@@ -152,17 +174,11 @@ class TestQ:
         with pytest.raises(ValueError):
             C.q_recurrence(-1)
 
-    def test_recurrence_keeps_its_pascal_row(self, monkeypatch):
-        # asked out of order, the kept terms grow only forward, and the kept
-        # row is always row m of Pascal's triangle for the m terms kept
-        monkeypatch.setattr(C, "_Q_TERMS", [1])
-        monkeypatch.setattr(C, "_Q_PASCAL", [1, 1])
+    def test_recurrence_answers_in_any_order(self):
+        # asked out of order, each term is computed afresh from n
         reference = q_terms_by_pascal_rows(120)
         for n in (50, 10, 120):
             assert C.q_recurrence(n) == reference[n]
-            m = len(C._Q_TERMS)
-            assert m == max(n, 50) + 1
-            assert C._Q_PASCAL == [math.comb(m, k) for k in range(m + 1)]
 
     def test_derived_families(self):
         assert [C.q_neutral(n) for n in range(7)] == TABLE_Q["q_e"]
@@ -182,6 +198,11 @@ class TestUFamily:
         # 2 u(4) + 1 must equal C(5,0) + 2 C(5,2) + 4 C(5,4) = 41
         assert 2 * C.u_closed(4) + 1 == 41
         assert C.u_closed(4) == 20
+
+    def test_inexact_shifted_division_is_an_inconsistency(self):
+        assert C._exact_shifted_div(41, 1, 2, "u closed form") == 20
+        with pytest.raises(ConsistencyError, match="u closed form: 42 - 1 not divisible by 2"):
+            C._exact_shifted_div(42, 1, 2, "u closed form")
 
     def test_methods_agree_far_out(self):
         for n in range(31):
@@ -302,6 +323,35 @@ class TestRegistry:
             C.count_by_enumeration("v_a", 1)
         assert not isinstance(info.value, CapacityError)
 
+    def test_derivations_keep_no_module_state(self):
+        # every derivation of every row, at n <= 60 in a shuffled order,
+        # leaves every module-level name bound to an equal value: the same
+        # object, and for a container the same contents
+        def snapshot():
+            return {
+                name: copy.deepcopy(value) if isinstance(value, (list, dict, set)) else value
+                for name, value in vars(C).items()
+                if name != "__builtins__"
+            }
+
+        calls = [
+            (fn, n)
+            for seq in C.SEQUENCES.values()
+            for fn in seq.derivations.values()
+            for n in range(seq.start, 61)
+        ]
+        random.Random(1).shuffle(calls)
+        before = snapshot()
+        for fn, n in calls:
+            fn(n)
+        assert snapshot() == before
+        # and no container but the registries, which a memo filled earlier
+        # in the session could hide in
+        containers = {
+            name for name, value in before.items()
+            if isinstance(value, (list, dict, set)) and not name.startswith("__")
+        }
+        assert containers == {"SEQUENCES", "METHODS"}
 
 
 def test_u_counts_tie_to_subset_sums():

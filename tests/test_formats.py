@@ -2,8 +2,8 @@
 
 import pytest
 
-from quasitrivial import FiniteBinOp, ParseError, TotalOrder, WeakOrder, classify
-from quasitrivial.enumeration import qt_semigroups
+from quasitrivial import FiniteBinOp, ParseError, TotalOrder, WeakOrder, classify, formats
+from quasitrivial.enumeration import FAMILIES, FamilySpec, generate, qt_semigroups
 from quasitrivial.formats import (
     emit_cayley,
     emit_cayley_line,
@@ -128,6 +128,23 @@ class TestOrderFormats:
             parse_weak_order("weakorder 3 1 2 3")
 
 
+PARSERS = {
+    "emit_cayley_line": parse_cayley_line,
+    "emit_weak_order": parse_weak_order,
+    "emit_total_order": parse_total_order,
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_emitted_line_parses_back(family):
+    # weak-orders alone has an object at n = 0: `weakorder 0 : `
+    _, _, emitter = FAMILIES[family]
+    emit, parse = getattr(formats, emitter), PARSERS[emitter]
+    for n in range(0 if family == "weak-orders" else 1, 5):
+        for obj in generate(FamilySpec(family, n)):
+            assert parse(emit(obj)) == obj
+
+
 class TestClassificationRecord:
     def test_flat_record_for_peaked_example(self, x4_peaked):
         text = emit_classification(classify(x4_peaked, TotalOrder.natural(4)))
@@ -193,6 +210,9 @@ MALFORMED = [
     (parse_weak_order, "weakorder 2 : : 1 2", "line 1, column 19: unexpected extra token '2'"),
     (parse_weak_order, "totalorder 2 : 1 2",
      "line 1, column 1: expected 'weakorder', got 'totalorder'"),
+    (parse_weak_order, "weakorder -1 : ",
+     "line 1, column 11: cardinality must be nonnegative, got -1"),
+    (parse_weak_order, "weakorder 0 : 1", "line 1, column 15: unexpected extra token '1'"),
     # totalorder
     (parse_total_order, "totalorder 3 : 1 1 2",
      "line 1, column 1: (1, 1, 2) is not a permutation of 1..n"),
@@ -201,6 +221,9 @@ MALFORMED = [
      "line 1, column 20: expected an integer, got '_3'"),
     (parse_total_order, "  totalorder\t3 ;\n1 2 3",
      "line 1, column 16: expected ':' in one-line totalorder form"),
+    (parse_total_order, "totalorder 0 : ",
+     "line 1, column 12: cardinality must be positive, got 0"),
+    (load_table, "cayley 0 : ", "line 1, column 8: cardinality must be positive, got 0"),
 ]
 
 

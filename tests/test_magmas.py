@@ -45,6 +45,14 @@ class TestTableType:
         assert x4_peaked(1, 2) == 1
         assert all(x4_peaked(4, x) == 4 for x in range(1, 5))
 
+    @pytest.mark.parametrize("x", [0, -1, 3])
+    def test_elements_outside_the_set_are_rejected(self, x):
+        # 0 and -1 would be read through negative indices, 3 past the end
+        f = FiniteBinOp(((1, 2), (2, 2)))
+        for args in ((x, 1), (1, x)):
+            with pytest.raises(ValueError, match=f"element {x} is not in 1..2"):
+                f(*args)
+
 
 class TestProjections:
     def test_values(self):

@@ -366,6 +366,7 @@ class TestSizesAndElements:
         # 0 and -1 would be read through negative indices
         w, t = weak(1, 2, 1), TotalOrder.natural(3)
         for ask in (lambda: w.rank_of(x), lambda: w.equiv(x, 3), lambda: w.equiv(3, x),
-                    lambda: is_convex(t, [x]), lambda: is_convex(t, [1, x])):
+                    lambda: is_convex(t, [x]), lambda: is_convex(t, [1, x]),
+                    lambda: t.larger(x, 1), lambda: t.larger(1, x)):
             with pytest.raises(ValueError, match=f"element {x} is not in 1..3"):
                 ask()
