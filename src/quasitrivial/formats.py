@@ -103,7 +103,8 @@ def _cayley(text: str, one_line: bool) -> FiniteBinOp:
     tokens = text.split()
     n = _header(text, tokens, "cayley", one_line)
     values = _entries(text, tokens, 3 if one_line else 2, n * n, n, "table")
-    return FiniteBinOp(tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
+    # `_entries` gave n * n ints in 1..n, so the table is built unchecked
+    return FiniteBinOp._trusted(tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def parse_cayley(text: str) -> FiniteBinOp:
@@ -165,7 +166,8 @@ def _listing(text: str, tokens: list[str], start: int, n: int) -> TotalOrder:
     try:
         return TotalOrder.from_ordered_elements(elems)
     except ValueError as exc:
-        raise _error(text, 0, str(exc)) from None
+        # an empty listing (n = 0) has no token to point at
+        raise _error(text, 0, str(exc)) if tokens else ParseError(str(exc), 1, 1) from None
 
 
 def parse_total_order(text: str) -> TotalOrder:
@@ -175,7 +177,10 @@ def parse_total_order(text: str) -> TotalOrder:
 
 def parse_listing(text: str, n: int) -> TotalOrder:
     """An ordering of 1..n written as its elements, smallest first: the part
-    of a `totalorder` line after the ':'.  Diagnostics point into `text`."""
+    of a `totalorder` line after the ':'.  Diagnostics point into `text`;
+    n < 0 is a ValueError."""
+    if n < 0:
+        raise ValueError(f"a listing needs n >= 0, got {n}")
     return _listing(text, text.split(), 0, n)
 
 

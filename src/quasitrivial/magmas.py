@@ -8,9 +8,10 @@ small everywhere in this package), the rest are single or double loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
-from .orders import TotalOrder
+from .orders import TotalOrder, _check_ints
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,17 @@ class FiniteBinOp:
         n = len(rows)
         if n == 0:
             raise ValueError("empty table")
-        for row in rows:
-            if len(row) != n or min(row) < 1 or max(row) > n:
-                raise ValueError("table is not square over 1..n")
+        cells = tuple(chain.from_iterable(rows))
+        _check_ints(cells, "table entry")
+        values = set(cells)
+        if set(map(len, rows)) != {n} or min(values) < 1 or max(values) > n:
+            raise ValueError("table is not square over 1..n")
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "FiniteBinOp":
-        """The table of `rows` without the check: only for a generator whose
-        rows are tuples of ints in 1..n, n of them, by construction.  Equal
-        to, and hashing like, ``FiniteBinOp(rows)``."""
+        """The table of `rows` without the check: only for rows known to be
+        n tuples of n ints in 1..n, by construction or by the parser's own
+        check.  Equal to, and hashing like, ``FiniteBinOp(rows)``."""
         f = object.__new__(cls)
         object.__setattr__(f, "rows", rows)
         return f

@@ -5,20 +5,20 @@ associativity check is the naive triple loop, and properties are checked
 straight from their definitions.  No code is shared with the structural
 enumeration these searches exist to validate.
 
-Quasitrivial tables are encoded as bit vectors: one bit per ordered pair
-(x, y) with x != y, in row-major order, 0 meaning the first argument wins
-and 1 the second.  The associative ones are found depth-first over the
-2^(n(n-1)) masks, most significant bit first, cutting a subtree as soon as
-a triple of distinct elements fails on the cells decided so far; every mask
-is tallied as a visited leaf or inside a cut subtree, and the tally is
-asserted.
+Every search enumerates its tables with one depth-first walk, `_tables`,
+over the cells off the diagonal F(x, x) = x, cutting a subtree as soon as a
+triple fails on the cells decided so far; each table of the range is
+tallied as a visited leaf or inside a cut subtree, and the tally is checked.
+The quasitrivial search walks masks, one bit per ordered pair (x, y) with
+x != y, row-major, 0 meaning the first argument wins, most significant bit
+first; the implication searches walk every candidate table, uncut.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
 
-from .errors import CapacityError
+from .errors import CapacityError, ConsistencyError
 
 QT_SEARCH_MAX_N = 5
 IDEMPOTENT_SEARCH_MAX_N = 3
@@ -55,63 +55,75 @@ def _is_associative_flat(table: list[int], n: int, triples) -> bool:
     return True
 
 
-def _triples_by_lowest_bit(n: int, cells) -> list[list[tuple[int, int, int, int]]]:
-    # A triple of distinct elements reads only the 6 cells among its three
-    # elements.  Bits are decided most significant first, so the lowest bit
-    # among those 6 cells is the last of them to be decided: that is where
-    # the triple can first be tested.
-    bit_of = {(x, y): b for b, (_, x, y) in enumerate(cells)}
-    at_bit: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
-    for x, y, z in permutations(range(n), 3):
-        lowest = min(bit_of[p] for p in permutations((x, y, z), 2))
-        at_bit[lowest].append((x * n + y, z, x * n, y * n + z))
-    return at_bit
+def _tables(n: int, cells, cuts=None, start: int = 0, stop: int | None = None):
+    """Yield tables with F(x, x) = x, one flat list rewritten in place.
+
+    At depth d the positions `cells[d][0]` take each value of `cells[d][1]`
+    in turn.  A table's index reads its choices as a mixed-radix number,
+    `cells[0]` most significant, so each subtree is a contiguous block and a
+    block outside [start, stop) is skipped.  Once cell d is set, a failing
+    triple of `cuts[d]` cuts the subtree, adding its indices in the range to
+    `cut`; `visited + cut` must cover the range, else ConsistencyError.
+    """
+    depth = len(cells)
+    size = [1] * (depth + 1)  # size[d]: the indices below a node of depth d
+    for d in range(depth - 1, -1, -1):
+        size[d] = size[d + 1] * len(cells[d][1])
+    stop = size[0] if stop is None else stop
+    # nodes[d]: a node of depth d sets the positions of cell d - 1, tests
+    # their cuts, spans size[d] indices and has children (depth, offset of
+    # the block, value of cell d), last value first so they pop in order
+    cuts = [()] + list(cuts or [()] * depth)
+    nodes = []
+    for d in range(depth + 1):
+        positions = cells[d - 1][0] if d else ()
+        children = [(d + 1, i * size[d + 1], v)
+                    for i, v in enumerate(cells[d][1])] if d < depth else []
+        nodes.append((positions, cuts[d], size[d], children[::-1]))
+    table = [0] * (n * n)
+    for x in range(n):
+        table[x * n + x] = x
+    visited = cut = 0
+    stack = [(0, 0, None)]  # (depth, first index of the block, value of the last cell set)
+    pop, push = stack.pop, stack.append
+    while stack:
+        d, lo, value = pop()
+        positions, tests, span, children = nodes[d]
+        if lo >= stop or lo + span <= start:
+            continue
+        for p in positions:
+            table[p] = value
+        if tests and not _is_associative_flat(table, n, tests):
+            cut += min(lo + span, stop) - max(lo, start)
+            continue
+        if children:
+            for e, offset, v in children:
+                push((e, lo + offset, v))
+            continue
+        visited += 1
+        yield table
+    if visited + cut != stop - start:
+        raise ConsistencyError(f"{visited} visited and {cut} cut tables, not {stop - start}")
 
 
 def _associative_quasitrivial_tables(n: int, start: int, stop: int):
     """Yield every associative quasitrivial table whose mask lies in
-    [start, stop), as one flat list rewritten in place between yields.
-
-    Depth-first over the mask bits, most significant first, so each subtree
-    is one contiguous block of masks; a subtree outside [start, stop) is
-    skipped.  Once a bit is decided, every triple of distinct elements whose
-    6 cells are then all decided is tested, and a failure cuts the subtree,
-    adding its masks inside the range to `cut`.  Each leaf reached still gets the
-    full naive n^3 check, and every mask of the range is accounted for as a
-    visited leaf or a cut one.
-    """
-    # bit b of a mask is cells[b], the b-th row-major off-diagonal pair
-    cells = [(x * n + y, x, y) for x in range(n) for y in range(n) if x != y]
-    at_bit = _triples_by_lowest_bit(n, cells)
+    [start, stop); each leaf the walk reaches gets the full n^3 check."""
+    # mask bit b is the b-th row-major off-diagonal pair, the second argument
+    # winning when it is set; cell d is bit n(n-1) - 1 - d, top bit first
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y][::-1]
+    depth_of = {p: d for d, p in enumerate(pairs)}
+    # a triple of distinct elements reads only the 6 cells among them, so it
+    # is tested once the last of those is decided
+    cuts: list[list[tuple[int, int, int, int]]] = [[] for _ in pairs]
+    for x, y, z in permutations(range(n), 3):
+        last = max(depth_of[p] for p in permutations((x, y, z), 2))
+        cuts[last].append((x * n + y, z, x * n, y * n + z))
     triples = _triples_distinct_first(n)
-    table = [0] * (n * n)
-    for x in range(n):
-        table[x * n + x] = x
-    visited = 0
-    cut = 0
-    # (free, prefix): the bits above `free` are decided and read `prefix`,
-    # whose lowest bit is bit `free` itself (none at the root, free = len(cells))
-    stack = [(len(cells), 0)]
-    while stack:
-        free, prefix = stack.pop()
-        lo = prefix << free
-        hi = lo + (1 << free)
-        if hi <= start or lo >= stop:
-            continue
-        if free < len(cells):
-            idx, x, y = cells[free]
-            table[idx] = y if prefix & 1 else x
-            if not _is_associative_flat(table, n, at_bit[free]):
-                cut += min(hi, stop) - max(lo, start)
-                continue
-        if free:
-            stack.append((free - 1, 2 * prefix + 1))
-            stack.append((free - 1, 2 * prefix))
-            continue
-        visited += 1
+    cells = [((x * n + y,), (x, y)) for x, y in pairs]
+    for table in _tables(n, cells, cuts, start, stop):
         if _is_associative_flat(table, n, triples):
             yield table
-    assert visited + cut == stop - start
 
 
 def brute_count_quasitrivial_associative(
@@ -119,12 +131,10 @@ def brute_count_quasitrivial_associative(
 ) -> int:
     """Count associative tables among all 2^(n(n-1)) quasitrivial tables.
 
-    A pruned depth-first search over the mask bits: a subtree is cut as soon
-    as a triple of distinct elements fails on its decided cells, each leaf
-    reached gets the full n^3 check, and `visited + cut` is asserted to
-    equal the shard's mask count.  Sharding splits the mask range into
-    contiguous blocks, and a shard's count is the number of associative
-    tables in its block.
+    The pruned walk over the mask bits: each leaf reached gets the full n^3
+    check, and `visited + cut` is checked against the shard's mask count.
+    Sharding splits the mask range into contiguous blocks, and a shard's
+    count is the number of associative tables in its block.
     """
     _check_size(n, QT_SEARCH_MAX_N, "raw quasitrivial search")
     if not 0 <= shard_index < shard_count:
@@ -175,14 +185,9 @@ def check_neutral_monotone_implies_quasitrivial(n: int) -> tuple[bool, str | Non
     Returns (True, None) when no counterexample exists, else (False, table).
     """
     _check_size(n, IDEMPOTENT_SEARCH_MAX_N, "idempotent search")
-    off_diagonal = [(x, y) for x in range(n) for y in range(n) if x != y]
     triples = _triples_distinct_first(n)
-    table = [0] * (n * n)
-    for x in range(n):
-        table[x * n + x] = x
-    for values in product(range(n), repeat=len(off_diagonal)):
-        for (x, y), v in zip(off_diagonal, values):
-            table[x * n + y] = v
+    cells = [((x * n + y,), range(n)) for x in range(n) for y in range(n) if x != y]
+    for table in _tables(n, cells):
         if not _is_associative_flat(table, n, triples):
             continue
         if not _monotone(table, n, range(n)):
@@ -198,16 +203,10 @@ def check_commutative_monotone_implies_associative(n: int) -> tuple[bool, str | 
     """Search all commutative quasitrivial tables for a naturally monotone one
     that is not associative."""
     _check_size(n, COMMUTATIVE_SEARCH_MAX_N, "commutative quasitrivial search")
-    unordered = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    # one cell per unordered pair, the first pair last: the least significant
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)][::-1]
     triples = _triples_distinct_first(n)
-    table = [0] * (n * n)
-    for x in range(n):
-        table[x * n + x] = x
-    for mask in range(1 << len(unordered)):
-        for bit, (x, y) in enumerate(unordered):
-            v = y if (mask >> bit) & 1 else x
-            table[x * n + y] = v
-            table[y * n + x] = v
+    for table in _tables(n, [((x * n + y, y * n + x), (x, y)) for x, y in pairs]):
         if not _monotone(table, n, range(n)):
             continue
         if not _is_associative_flat(table, n, triples):

@@ -15,7 +15,15 @@ All values are immutable; every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+
+def _check_ints(values: Sequence[object], what: str) -> None:
+    """ValueError naming the first of `values` that is not an int; a bool is
+    not one.  The check is one pass of the values' types, not a Python loop."""
+    if not {int}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -27,6 +35,7 @@ class WeakOrder:
     def __post_init__(self):
         ranks = tuple(self.ranks)
         object.__setattr__(self, "ranks", ranks)
+        _check_ints(ranks, "rank")
         # distinct ranks, all >= 1, as many as the largest: exactly 1..k
         if ranks and (min(ranks) < 1 or len(set(ranks)) != max(ranks)):
             raise ValueError(f"rank vector {ranks} is not surjective onto 1..k")
@@ -97,6 +106,7 @@ class TotalOrder(WeakOrder):
     def __post_init__(self):
         ranks = tuple(self.ranks)
         object.__setattr__(self, "ranks", ranks)
+        _check_ints(ranks, "rank")
         n = len(ranks)
         if n == 0 or sorted(ranks) != list(range(1, n + 1)):
             raise ValueError(f"rank vector {ranks} is not a permutation of 1..n")
@@ -108,14 +118,19 @@ class TotalOrder(WeakOrder):
 
     @classmethod
     def from_ordered_elements(cls, elements: Iterable[int]) -> "TotalOrder":
-        """Build from the element listing, smallest first."""
+        """Build from the element listing, smallest first: each element is
+        checked here, so the ranks are a permutation and built unchecked."""
         elems = tuple(elements)
         ranks = [0] * len(elems)
         for pos, x in enumerate(elems, start=1):
+            if type(x) is not int:
+                raise ValueError(f"element {x!r} is not an integer")
             if not 1 <= x <= len(elems) or ranks[x - 1]:
                 raise ValueError(f"{elems} is not a permutation of 1..n")
             ranks[x - 1] = pos
-        return cls(tuple(ranks))
+        if not ranks:
+            raise ValueError("rank vector () is not a permutation of 1..n")
+        return cls._trusted(tuple(ranks))
 
     def larger(self, x: int, y: int) -> int:
         return x if self.rank_of(x) >= self.rank_of(y) else y

@@ -27,7 +27,7 @@ from .magmas import (
     is_quasitrivial,
     neutral_elements,
 )
-from .orders import TotalOrder, WeakOrder, is_weakly_single_peaked
+from .orders import TotalOrder, WeakOrder, _check_ints, is_weakly_single_peaked
 
 MONOTONE_SEARCH_MAX_N = 8
 # `classify` lists at most this many monotonizing orderings
@@ -49,12 +49,14 @@ class KimuraDecomposition:
     choices: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        choices = tuple((int(r), s) for r, s in self.choices)
+        choices = tuple((r, s) for r, s in self.choices)
         object.__setattr__(self, "choices", choices)
         if not self.order.ranks:
             raise ValueError("a decomposition needs n >= 1")
+        ranks = [r for r, _ in choices]
+        _check_ints(ranks, "class rank")
         big = fat_ranks(self.order)
-        if [r for r, _ in choices] != big:
+        if ranks != big:
             raise ValueError(f"choices must cover exactly the class ranks {big}")
         for _, side in choices:
             if side not in (LEFT, RIGHT):
@@ -337,8 +339,9 @@ def monotonizing_orders(
     order of the element listing.
 
     Given f's factorization `decomposition`, the orderings are generated from
-    it (`_factored_listings`), at any n.  Without it a pruned search over
-    prefixes of the listing (`_pruned_listings`) finds them, capped at
+    it (`_factored_listings`), at any n; a decomposition that does not build
+    f is a ValueError.  Without it a pruned search over prefixes of the
+    listing (`_pruned_listings`) finds them, capped at
     n <= MONOTONE_SEARCH_MAX_N.  Either route lists exactly these orderings,
     and each listing must pass `is_order_preserving`, else ConsistencyError.
     """
@@ -348,8 +351,8 @@ def monotonizing_orders(
                 f"monotonizing-order search is limited to n <= {MONOTONE_SEARCH_MAX_N}"
             )
         listings = _pruned_listings(f)
-    elif decomposition.order.n != f.n:
-        raise ValueError("operation and decomposition have different cardinalities")
+    elif build(decomposition) != f:
+        raise ValueError("the decomposition is not the factorization of the operation")
     else:
         listings = _factored_listings(decomposition)
     for listing in listings:

@@ -13,6 +13,7 @@ from quasitrivial.formats import (
     load_table,
     parse_cayley,
     parse_cayley_line,
+    parse_listing,
     parse_total_order,
     parse_weak_order,
 )
@@ -126,6 +127,19 @@ class TestOrderFormats:
     def test_missing_colon(self):
         with pytest.raises(ParseError, match="':'"):
             parse_weak_order("weakorder 3 1 2 3")
+
+    @pytest.mark.parametrize("text", ["", "  ", "\n\n"])
+    def test_empty_listing_is_a_parse_error(self, text):
+        # no ordering of the empty set: reported at the start of the text
+        with pytest.raises(ParseError) as info:
+            parse_listing(text, 0)
+        assert (info.value.line, info.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("text", ["", "1"])
+    def test_listing_of_negative_size_rejected(self, text):
+        with pytest.raises(ValueError, match=r"needs n >= 0, got -1") as info:
+            parse_listing(text, -1)
+        assert not isinstance(info.value, ParseError)
 
 
 PARSERS = {

@@ -39,6 +39,18 @@ class TestTableType:
         with pytest.raises(ValueError):
             FiniteBinOp(())
 
+    @pytest.mark.parametrize("rows, entry", [
+        (((True,),), "True"),
+        (((1.0, 2.0), (2.0, 2.0)), "1.0"),
+        (((1, 2), (2, 2.0)), "2.0"),
+        (((1, "2"), (2, 2)), "'2'"),
+    ])
+    def test_rejects_non_integer_entries(self, rows, entry):
+        # a bool is not an integer entry, and 1.0 is not 1: either would be
+        # emitted as text that the parser rejects
+        with pytest.raises(ValueError, match=f"^table entry {entry} is not an integer$"):
+            FiniteBinOp(rows)
+
     def test_call_is_one_based(self, x4_peaked):
         assert x4_peaked(1, 3) == 3
         assert x4_peaked(3, 1) == 1

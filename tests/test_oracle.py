@@ -1,9 +1,13 @@
-"""Oracle: raw searches agree with the structural and formula routes."""
+"""Oracle: raw searches agree with the structural and formula routes, and
+walk their tables in the order of the plain loops they replaced."""
+
+from itertools import product
 
 import pytest
 
 from quasitrivial import (
     CapacityError,
+    ConsistencyError,
     FiniteBinOp,
     TotalOrder,
     is_associative,
@@ -108,3 +112,100 @@ class TestMonotonizable:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             brute_count_monotonizable(5)
+
+
+def flat_table(n, cells):
+    """The flat table with F(x, x) = x and F(x, y) = v for each ((x, y), v)."""
+    table = [0] * (n * n)
+    for x in range(n):
+        table[x * n + x] = x
+    for (x, y), v in cells:
+        table[x * n + y] = v
+    return tuple(table)
+
+
+def is_associative_by_magmas(n, table):
+    return is_associative(FiniteBinOp(tuple(
+        tuple(v + 1 for v in table[x * n:(x + 1) * n]) for x in range(n)
+    )))
+
+
+class _Padded(tuple):
+    """A domain one value longer by len() than it iterates: a walk that
+    sizes its blocks by it leaves indices neither visited nor cut."""
+
+    def __len__(self):
+        return super().__len__() + 1
+
+
+class TestTableWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_idempotent_tables_in_product_order(self, monkeypatch, n):
+        # the search tests associativity first: record every table it sees
+        seen = []
+
+        def record(table, *args):
+            seen.append(tuple(table))
+            return False
+
+        monkeypatch.setattr(oracle, "_is_associative_flat", record)
+        assert check_neutral_monotone_implies_quasitrivial(n) == (True, None)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        assert seen == [
+            flat_table(n, zip(pairs, values))
+            for values in product(range(n), repeat=len(pairs))
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_commutative_tables_in_mask_order(self, monkeypatch, n):
+        # the search tests natural monotonicity first
+        seen = []
+
+        def record(table, *args):
+            seen.append(tuple(table))
+            return False
+
+        monkeypatch.setattr(oracle, "_monotone", record)
+        assert check_commutative_monotone_implies_associative(n) == (True, None)
+        # bit b of the mask is the b-th unordered pair, set when y wins
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        expected = []
+        for mask in range(1 << len(pairs)):
+            values = [y if mask >> b & 1 else x for b, (x, y) in enumerate(pairs)]
+            expected.append(flat_table(n, [
+                cell for (x, y), v in zip(pairs, values) for cell in (((x, y), v), ((y, x), v))
+            ]))
+        assert seen == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_quasitrivial_tables_in_mask_order(self, n):
+        # bit b of the mask is the b-th row-major off-diagonal pair
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        masks = 1 << len(pairs)
+        by_mask = [
+            flat_table(n, [((x, y), y if mask >> b & 1 else x) for b, (x, y) in enumerate(pairs)])
+            for mask in range(masks)
+        ]
+        for shards in (1, 3):
+            for i in range(shards):
+                start, stop = masks * i // shards, masks * (i + 1) // shards
+                walked = [tuple(t) for t in oracle._associative_quasitrivial_tables(n, start, stop)]
+                assert walked == [
+                    t for t in by_mask[start:stop] if is_associative_by_magmas(n, t)
+                ]
+
+    @pytest.mark.parametrize("search, n", [
+        (brute_count_quasitrivial_associative, 3),
+        (brute_count_monotonizable, 3),
+        (check_neutral_monotone_implies_quasitrivial, 2),
+        (check_commutative_monotone_implies_associative, 3),
+    ])
+    def test_every_search_checks_the_tally(self, monkeypatch, search, n):
+        walk = oracle._tables
+
+        def short(n, cells, *rest):
+            return walk(n, [(positions, _Padded(domain)) for positions, domain in cells], *rest)
+
+        monkeypatch.setattr(oracle, "_tables", short)
+        with pytest.raises(ConsistencyError, match=r"visited and \d+ cut tables, not \d+"):
+            search(n)

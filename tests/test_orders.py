@@ -47,6 +47,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             TotalOrder(())
 
+    @pytest.mark.parametrize("make, args, entry", [
+        (TotalOrder, (1.0, 2.0), "rank 1.0"),
+        (TotalOrder, (2, True), "rank True"),
+        (WeakOrder, (2.0, 1.0), "rank 2.0"),
+        (WeakOrder, (1, True), "rank True"),
+        (TotalOrder.from_ordered_elements, (2.0, 1), "element 2.0"),
+        (TotalOrder.from_ordered_elements, (True,), "element True"),
+    ])
+    def test_rejects_non_integer_entries(self, make, args, entry):
+        with pytest.raises(ValueError, match=f"^{entry} is not an integer$"):
+            make(args)
+
     def test_natural_order_is_identity_ranking(self):
         t = TotalOrder.natural(4)
         assert t.ranks == (1, 2, 3, 4)

@@ -28,6 +28,7 @@ from quasitrivial import (
 )
 from quasitrivial import structure
 from quasitrivial.enumeration import kimura_decompositions, qt_semigroups
+from quasitrivial.formats import parse_cayley_line
 from quasitrivial.magmas import order_preserving_by_definition
 from quasitrivial.structure import monotonizing_orders, projection_rows
 
@@ -53,6 +54,11 @@ class TestDecompositionType:
             KimuraDecomposition(WeakOrder((1, 2, 3)), ((1, "left"),))  # singleton choice
         with pytest.raises(ValueError):
             KimuraDecomposition(WeakOrder((1, 1)), ((1, "up"),))
+
+    @pytest.mark.parametrize("rank", [1.9, 1.0, True, "1"])
+    def test_rejects_a_non_integer_class_rank(self, rank):
+        with pytest.raises(ValueError, match=f"^class rank {rank!r} is not an integer$"):
+            KimuraDecomposition(WeakOrder((1, 1)), ((rank, "left"),))
 
     def test_requires_a_nonempty_set(self):
         # `build` trusts a decomposition, so the empty table is refused here
@@ -347,6 +353,27 @@ class TestMonotonizingOrders:
         f = FiniteBinOp.projection(4, "left")
         with pytest.raises(ValueError):
             exists_monotonizing_order(FiniteBinOp.projection(3, "left"), decompose(f))
+
+    def test_factorization_of_another_table_rejected(self):
+        # the left projection has all 6 orderings; the factorization of
+        # another table would list 4 of them, or fail the order check
+        f = FiniteBinOp.projection(3, "left")
+        other = decompose(parse_cayley_line("cayley 3 : 1 1 3 2 2 3 3 3 3"))
+        assert len(list(monotonizing_orders(f))) == 6
+        with pytest.raises(ValueError, match="not the factorization of the operation"):
+            list(monotonizing_orders(f, other))
+        # every ordered pair of distinct qt-semigroups of one size, n <= 4
+        pairs = 0
+        for n in range(1, 5):
+            tables = list(qt_semigroups(n))
+            factorizations = [decompose(f) for f in tables]
+            for f in tables:
+                for f2, d in zip(tables, factorizations):
+                    if f2 != f:
+                        pairs += 1
+                        with pytest.raises(ValueError):  # not a ConsistencyError
+                            exists_monotonizing_order(f, d)
+        assert pairs == 19298
 
     # the factorial filter is the reference: on every listed table the search
     # yields exactly its orderings, in its order
