@@ -4,10 +4,17 @@ Generation order is part of the contract: weak orderings stream in
 lexicographic rank-vector order; the operations of one ordering stream as
 `itertools.product` over its fat classes (those of size >= 2), bottom class
 first, left before right.  The i-th tuple of that product is i in binary,
-the bottom class its most significant digit and right its 1.  Each family is
-one stream function `(n, shard_index=0, shard_count=1)`, restartable by
-calling it again, and one row of `FAMILIES` with its filters, each a
-predicate of the object alone, and the name of its line emitter.
+the bottom class its most significant digit and right its 1.
+
+`rank_vectors` yields the vectors that share their first n - 1 ranks as one
+batch.  The operation stream walks the rank vectors themselves and makes no
+`WeakOrder`: one pass over a vector (`structure._classes`) finds its fat
+classes and winner masks, and only for an ordering whose tables the shard
+holds are the rows read from the bounded per-n row table (`structure._rows`).
+
+Each family is one stream function `(n, shard_index=0, shard_count=1)`,
+restartable by calling it again, and one row of `FAMILIES` with its filters,
+each a predicate of the object alone, and the name of its line emitter.
 A stream checks its input when called, in this order: n < 0, the shard, the
 size cap, then n = 0 for an empty family.
 """
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice, permutations, product
+from itertools import chain, islice, permutations, product
 from typing import Iterator
 
 from .errors import CapacityError
@@ -28,13 +35,22 @@ from .magmas import (
     neutral_elements,
 )
 from .orders import TotalOrder, WeakOrder, is_weakly_single_peaked
-from .structure import LEFT, RIGHT, KimuraDecomposition, fat_ranks, projection_rows
+from .structure import (
+    LEFT,
+    RIGHT,
+    ROW_TABLE_MAX_N,
+    KimuraDecomposition,
+    _classes,
+    _rows,
+    fat_ranks,
+)
 # unused here, but the tracer self-test (perfbench/selftest.py) patches it
 from .structure import build  # noqa: F401
 
 WEAK_ORDER_MAX_N = 10
 TOTAL_ORDER_MAX_N = 10
-QT_SEMIGROUP_MAX_N = 9
+# the stream reads every row from the row table of `structure`
+QT_SEMIGROUP_MAX_N = ROW_TABLE_MAX_N
 
 
 # the reference ordering 1 < ... < n, made once per n (n <= 10 under the caps)
@@ -79,44 +95,49 @@ def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
     """All surjective rank vectors on {1..n}, in lexicographic order.
 
     A prefix is viable iff the ranks skipped so far can still be filled by
-    the remaining positions; the search never expands a dead prefix.
+    the remaining positions; the search never expands a dead prefix.  The
+    vectors that share a viable prefix of n - 1 positions come as one batch.
     """
     _check(n)
     if n == 0:
-        yield ()
-        return
-    last = n - 1
-    vec = [0] * last
-    counts = [0] * (n + 1)
+        return iter([()])
+    return chain.from_iterable(_rank_vector_batches(n))
 
-    def walk(i: int, top: int, missing: int) -> Iterator[tuple[int, ...]]:
-        if i == last:
-            # a viable prefix misses at most one rank: the last position
-            # takes it, or else any rank up to one past the top
-            head = tuple(vec)
-            if missing:
-                yield head + (counts.index(0, 1),)
-            else:
-                for r in range(1, top + 2):
-                    yield head + (r,)
-            return
+
+def _rank_vector_batches(n: int) -> Iterator[list[tuple[int, ...]]]:
+    last = n - 1
+    if not last:
+        yield [(1,)]
+        return
+    counts = [0] * (n + 1)
+    # ones[k]: the one-tuples (1,) .. (k,), the choices of the last position
+    ones = [[(r,) for r in range(1, k + 1)] for k in range(n + 1)]
+
+    def walk(i: int, head: tuple[int, ...], top: int, missing: int) -> Iterator[list]:
         slots = n - i - 1
         hi = min(n, top + (n - i) - missing)
         for r in range(1, hi + 1):
             if r <= top:
-                gap = missing - (1 if counts[r] == 0 else 0)
+                gap = missing - (counts[r] == 0)
                 new_top = top
             else:
                 gap = missing + (r - top - 1)
                 new_top = r
             if gap > slots:
                 continue
-            vec[i] = r
+            prefix = head + (r,)
             counts[r] += 1
-            yield from walk(i + 1, new_top, gap)
+            if i + 1 < last:
+                yield from walk(i + 1, prefix, new_top, gap)
+            elif gap:
+                # a viable prefix misses at most one rank: the last position
+                # takes it, or else any rank up to one past the top
+                yield [prefix + (counts.index(0, 1),)]
+            else:
+                yield [prefix + one for one in ones[new_top + 1]]
             counts[r] -= 1
 
-    yield from walk(0, 0, 0)
+    yield from walk(0, (), 0, 0)
 
 
 def weak_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[WeakOrder]:
@@ -200,24 +221,30 @@ def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterato
 
 
 def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[FiniteBinOp]:
-    # the rows come from `projection_rows`, so every table is valid as built
+    # the rows come from `_rows`, so every table is valid as built
     make = FiniteBinOp._trusted
     # the tables of one ordering hold stream indices [start, start + 2^m), m
     # its number of fat classes; a block with none of the shard's is skipped
     start = 0
-    for order in weak_orders(n):
-        fat = fat_ranks(order)
-        size = 1 << len(fat)
+    for ranks in rank_vectors(n):
+        fat, at_least = _classes(ranks)
+        m = len(fat)
+        size = 1 << m
         first = (shard_index - start) % shard_count
         start += size
         if first >= size:
             continue
-        # row x of each table is one of the pair shared by all 2^m tables,
-        # picked by the side of x's class; a singleton reads the trailing 0,
-        # its pair holding one row twice
+        lefts, rights = _rows(ranks, at_least)
+        if m < 2:
+            # no fat class: one table, all left rows; one: left, then right
+            for rows in (lefts, rights)[first:size:shard_count]:
+                yield make(rows)
+            continue
+        # row x of each table is one of x's pair, picked by the side of x's
+        # class; a singleton reads the trailing 0, its pair one row twice
         slot = {rank: j for j, rank in enumerate(fat)}
-        keyed = [(pair, slot.get(r, -1)) for pair, r in zip(projection_rows(order), order.ranks)]
-        for sides in _sides(len(fat))[first::shard_count]:
+        keyed = [(pair, slot.get(r, -1)) for pair, r in zip(zip(lefts, rights), ranks)]
+        for sides in _sides(m)[first::shard_count]:
             yield make(tuple([pair[sides[j]] for pair, j in keyed]))
 
 

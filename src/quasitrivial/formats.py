@@ -150,15 +150,14 @@ def parse_weak_order(text: str) -> WeakOrder:
         raise _error(text, 0, str(exc)) from None
 
 
-# the text of each small rank, looked up instead of formatted per element
-_LABELS = tuple(map(str, range(64)))
+@lru_cache(maxsize=16)
+def _weak_order_format(n: int) -> str:
+    # "weakorder n : %d %d ... %d", filled from the rank vector in one call
+    return f"weakorder {n} : " + " ".join(["%d"] * n)
 
 
 def emit_weak_order(w: WeakOrder) -> str:
-    ranks = w.ranks
-    n = len(ranks)
-    text = map(_LABELS.__getitem__ if n < len(_LABELS) else str, ranks)
-    return f"weakorder {n} : " + " ".join(text)
+    return _weak_order_format(len(w.ranks)) % w.ranks
 
 
 def _listing(text: str, tokens: list[str], start: int, n: int) -> TotalOrder:

@@ -8,6 +8,7 @@ small everywhere in this package), the rest are single or double loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
@@ -21,7 +22,10 @@ class FiniteBinOp:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+        try:
+            rows = tuple(map(tuple, self.rows))
+        except TypeError:
+            raise ValueError(f"table {self.rows!r} is not a sequence of rows") from None
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0:
@@ -110,6 +114,21 @@ def is_commutative(f: FiniteBinOp) -> bool:
     return all(rows[x][y] == rows[y][x] for x in range(n) for y in range(x + 1, n))
 
 
+@lru_cache(maxsize=64)
+def _steps(ranks: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The adjacent pairs (a, b) of the total ordering with rank vector
+    `ranks`, as 0-based elements, smallest first, and the rank of each table
+    value v at [v].  Kept per ordering: a filter tests one reference ordering
+    on every table of a stream."""
+    elems = [-1] * len(ranks)
+    for x, r in enumerate(ranks):
+        elems[r - 1] = x
+    # the ranks of a weak ordering with a tie leave the top positions empty
+    if elems[-1] < 0:
+        raise ValueError(f"rank vector {ranks} is not a total ordering")
+    return tuple(zip(elems, elems[1:])), (0, *ranks)
+
+
 def is_order_preserving(f: FiniteBinOp, t: TotalOrder) -> bool:
     """Monotone in both arguments with respect to t.
 
@@ -119,11 +138,9 @@ def is_order_preserving(f: FiniteBinOp, t: TotalOrder) -> bool:
     """
     if f.n != t.n:
         raise ValueError("operation and ordering have different cardinalities")
-    elems = t.ordered_elements()
-    rank = (0, *t.ranks)  # rank[v] for a table value v in 1..n
+    adjacent, rank = _steps(t.ranks)
     rows = f.rows
-    for i in range(f.n - 1):
-        a, b = elems[i] - 1, elems[i + 1] - 1
+    for a, b in adjacent:
         for va, vb, row_y in zip(rows[a], rows[b], rows):
             if rank[va] > rank[vb] or rank[row_y[a]] > rank[row_y[b]]:
                 return False

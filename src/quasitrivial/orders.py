@@ -18,6 +18,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+def _rank_tuple(ranks: object) -> tuple:
+    """`ranks` as a tuple, or a ValueError naming it if it is no sequence."""
+    try:
+        return tuple(ranks)
+    except TypeError:
+        raise ValueError(f"rank vector {ranks!r} is not a sequence") from None
+
+
 def _check_ints(values: Sequence[object], what: str) -> None:
     """ValueError naming the first of `values` that is not an int; a bool is
     not one.  The check is one pass of the values' types, not a Python loop."""
@@ -33,7 +41,7 @@ class WeakOrder:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        ranks = tuple(self.ranks)
+        ranks = _rank_tuple(self.ranks)
         object.__setattr__(self, "ranks", ranks)
         _check_ints(ranks, "rank")
         # distinct ranks, all >= 1, as many as the largest: exactly 1..k
@@ -104,7 +112,7 @@ class TotalOrder(WeakOrder):
     """A total ordering of {1..n}; the rank vector is a permutation."""
 
     def __post_init__(self):
-        ranks = tuple(self.ranks)
+        ranks = _rank_tuple(self.ranks)
         object.__setattr__(self, "ranks", ranks)
         _check_ints(ranks, "rank")
         n = len(ranks)

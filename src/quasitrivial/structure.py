@@ -10,7 +10,7 @@ inverse bijections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import permutations
 from typing import Iterator, Mapping
 
@@ -49,7 +49,12 @@ class KimuraDecomposition:
     choices: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        choices = tuple((r, s) for r, s in self.choices)
+        if not isinstance(self.order, WeakOrder):
+            raise ValueError(f"order {self.order!r} is not a WeakOrder")
+        try:
+            choices = tuple((r, s) for r, s in self.choices)
+        except (TypeError, ValueError):
+            raise ValueError(f"choices {self.choices!r} are not (rank, side) pairs") from None
         object.__setattr__(self, "choices", choices)
         if not self.order.ranks:
             raise ValueError("a decomposition needs n >= 1")
@@ -67,19 +72,83 @@ class KimuraDecomposition:
         return cls(order, tuple(sorted(sides.items())))
 
 
+# the largest n whose rows `_row_table` holds; the operation enumeration
+# stops here too
+ROW_TABLE_MAX_N = 9
+
+
+def _projection_row(n: int, x: int, winners: int) -> tuple[int, ...]:
+    # the projection rule: F(x, y) = y for the y whose bit y - 1 is set in
+    # `winners`, else x.  `_row_table` holds every such row up to
+    # ROW_TABLE_MAX_N, at most n * 2^n = 4608, each made once per process;
+    # past it `_rows` makes each row it needs, as a table would not fit
+    return tuple([y if winners >> (y - 1) & 1 else x for y in range(1, n + 1)])
+
+
+@cache
+def _row_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """`_projection_row(n, x, winners)` at [x - 1][winners], for every x and
+    mask, n <= ROW_TABLE_MAX_N.  x's own bit leaves the row as it is, since
+    F(x, x) = x either way, so both masks share one tuple."""
+    if n > ROW_TABLE_MAX_N:
+        raise CapacityError(f"the row table is limited to n <= {ROW_TABLE_MAX_N}")
+    table = []
+    for x in range(1, n + 1):
+        bit = 1 << (x - 1)
+        rows = []
+        for winners in range(1 << n):
+            rows.append(rows[winners ^ bit] if winners & bit else _projection_row(n, x, winners))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def _classes(ranks: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """One pass over a rank vector: the ranks of its classes of size >= 2,
+    bottom first, and at_least[r], the elements of rank >= r as a bit mask
+    (bit y - 1 for y), for r in 1..k + 1."""
+    k = max(ranks, default=0)
+    # members[r]: the elements of rank r
+    members = [0] * (k + 2)
+    bit = 1
+    for r in ranks:
+        members[r] |= bit
+        bit <<= 1
+    at_least = [0] * (k + 2)
+    fat = []
+    acc = 0
+    for r in range(k, 0, -1):
+        m = members[r]
+        acc |= m
+        at_least[r] = acc
+        if m & (m - 1):
+            fat.append(r)
+    fat.reverse()
+    return fat, at_least
+
+
+def _rows(ranks: tuple[int, ...], at_least: list[int]):
+    """Row x of every table with this weak ordering, for each x, under a left
+    and under a right projection of x's class, as two tuples.
+
+    Across distinct classes the strictly larger argument wins: the left row
+    of x is y for y of rank > rank(x), the right row also for the rest of
+    x's class, else x.  Both are read from the row table at these winner
+    masks, so for a singleton class they are one tuple (equal tuples past
+    ROW_TABLE_MAX_N, where each row is made from the rule).
+    """
+    n = len(ranks)
+    if n > ROW_TABLE_MAX_N:
+        return (tuple([_projection_row(n, x, at_least[r + 1]) for x, r in enumerate(ranks, 1)]),
+                tuple([_projection_row(n, x, at_least[r]) for x, r in enumerate(ranks, 1)]))
+    table = _row_table(n)
+    lefts = tuple([rows[at_least[r + 1]] for rows, r in zip(table, ranks)])
+    rights = tuple([rows[at_least[r]] for rows, r in zip(table, ranks)])
+    return lefts, rights
+
+
 def fat_ranks(order: WeakOrder) -> list[int]:
     """Ranks of the classes of size >= 2, bottom first."""
-    sizes = [0] * (order.k + 1)
-    for r in order.ranks:
-        sizes[r] += 1
-    return [r for r, size in enumerate(sizes) if size >= 2]
-
-
-@lru_cache(maxsize=4096)
-def _projection_row(n: int, x: int, winners: int) -> tuple[int, ...]:
-    # F(x, y) = y for the y whose bit y - 1 is set in `winners`, else x; a
-    # stream at n <= 9 asks for at most n * 2^(n-1) <= 2304 distinct rows
-    return tuple([y if winners >> (y - 1) & 1 else x for y in range(1, n + 1)])
+    return _classes(order.ranks)[0]
 
 
 def projection_rows(order: WeakOrder) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -88,34 +157,22 @@ def projection_rows(order: WeakOrder) -> tuple[tuple[tuple[int, ...], tuple[int,
 
     Across distinct classes the strictly larger argument wins; inside x's
     class the projection applies.  The two rows differ only inside the class,
-    so for a singleton class the pair holds one tuple twice.
+    so for a singleton class the pair holds the same row twice.
     """
     ranks = order.ranks
-    n = len(ranks)
-    # members[r]: the elements of rank r as a bit mask (bit y - 1 for y);
-    # above[r]: the elements of rank > r, which win against rank r
-    members = [0] * (n + 2)
-    for y, r in enumerate(ranks):
-        members[r] |= 1 << y
-    above = [0] * (n + 2)
-    for r in range(n, 0, -1):
-        above[r] = above[r + 1] | members[r + 1]
-    pairs = []
-    for x, rx in enumerate(ranks, start=1):
-        left = _projection_row(n, x, above[rx])
-        # under a right projection the rest of x's class wins as well
-        rest = members[rx] ^ (1 << (x - 1))
-        pairs.append((left, _projection_row(n, x, above[rx] | rest) if rest else left))
-    return tuple(pairs)
+    return tuple(zip(*_rows(ranks, _classes(ranks)[1])))
 
 
 def build(d: KimuraDecomposition) -> FiniteBinOp:
     """The table of a decomposition: across distinct classes the strictly
     larger argument wins, inside a class the chosen projection applies.
     `d` was checked when made, so its rows are valid and built unchecked."""
-    side = dict(d.choices)
-    rows = zip(projection_rows(d.order), d.order.ranks)
-    return FiniteBinOp._trusted(tuple([pair[side.get(r) == RIGHT] for pair, r in rows]))
+    ranks = d.order.ranks
+    lefts, rights = _rows(ranks, _classes(ranks)[1])
+    right = {r for r, side in d.choices if side == RIGHT}
+    return FiniteBinOp._trusted(
+        tuple([rr if r in right else lr for lr, rr, r in zip(lefts, rights, ranks)])
+    )
 
 
 def _require_decomposable(f: FiniteBinOp) -> None:

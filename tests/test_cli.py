@@ -784,6 +784,14 @@ class TestDeterminism:
             "5f57b70527e7bf0756f4b9cbe65feefe210376a79cbae5321c160243d56d6566",
         ("weakly-single-peaked-weak-orders", "--n", "6", "--shards", "3", "--shard", "1"):
             "c396a0e9e5468e5cb14023f7ca42ae2cdcb4a6cb73265f57fbe9c8915c986526",
+        # the largest listings, computed before the operation stream read its
+        # rows from one table lookup per element (about 1 s for n = 7)
+        ("qt-semigroups", "--n", "7"):
+            "8f1f83133bde8771292e5443028223d1f825f1cf9a7a6ea92a9798e362d9f51e",
+        ("weak-orders", "--n", "7"):
+            "88b3b99c30f7dda5da6719b857b647a726bf504570b2c5d25c00c11059ef0d17",
+        ("qt-semigroups", "--n", "6", "--shards", "7", "--shard", "3"):
+            "5336c03922152c49ad1664e6c704911fd313f2b31332c63f8cfbb8c1f6d6dc8f",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED_SHA256))

@@ -110,6 +110,21 @@ class TestOrderFormats:
             expected = f"weakorder {len(ranks)} : " + " ".join(map(str, ranks))
             assert emit_weak_order(WeakOrder(ranks)) == expected
 
+    @pytest.mark.parametrize("ranks", [
+        (),
+        (3, 1, 2, 3, 1, 4, 2, 1, 3),
+        (10, 1, 9, 2, 8, 3, 7, 4, 6, 5),
+        (1,) * 12,
+        tuple(range(1, 13)),
+        # ranks past 63
+        (*range(80, 0, -1), 80),
+    ])
+    def test_weak_order_line_bytes(self, ranks):
+        w = WeakOrder(ranks)
+        line = emit_weak_order(w)
+        assert line == f"weakorder {len(ranks)} : " + " ".join(map(str, ranks))
+        assert parse_weak_order(line) == w
+
     def test_weak_order_rejects_gappy_ranks(self):
         with pytest.raises(ParseError, match="surjective"):
             parse_weak_order("weakorder 3 : 1 3 3")

@@ -8,6 +8,7 @@ import pytest
 from quasitrivial import (
     FiniteBinOp,
     TotalOrder,
+    WeakOrder,
     annihilator_elements,
     degree_sequence,
     f_degree,
@@ -50,6 +51,10 @@ class TestTableType:
         # emitted as text that the parser rejects
         with pytest.raises(ValueError, match=f"^table entry {entry} is not an integer$"):
             FiniteBinOp(rows)
+
+    def test_rejects_rows_that_are_not_sequences(self):
+        with pytest.raises(ValueError, match=r"^table \(1, 2\) is not a sequence of rows$"):
+            FiniteBinOp((1, 2))
 
     def test_call_is_one_based(self, x4_peaked):
         assert x4_peaked(1, 3) == 3
@@ -127,6 +132,11 @@ class TestOrderPreserving:
     def test_ordering_of_another_size_is_rejected(self, x6_commutative, m):
         with pytest.raises(ValueError, match="different cardinalities"):
             is_order_preserving(x6_commutative, TotalOrder.natural(m))
+
+    def test_weak_ordering_with_a_tie_is_rejected(self, x6_commutative):
+        # monotonicity is checked along adjacent steps of a total ordering
+        with pytest.raises(ValueError, match=r"^rank vector \(1, 2, 2, 3, 4, 5\) is not a total"):
+            is_order_preserving(x6_commutative, WeakOrder((1, 2, 2, 3, 4, 5)))
 
     def test_never_monotone_example(self, x4_never_monotone):
         for p in permutations(range(1, 5)):

@@ -59,6 +59,11 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^{entry} is not an integer$"):
             make(args)
 
+    @pytest.mark.parametrize("make", [WeakOrder, TotalOrder])
+    def test_rejects_a_rank_vector_that_is_not_a_sequence(self, make):
+        with pytest.raises(ValueError, match="^rank vector 5 is not a sequence$"):
+            make(5)
+
     def test_natural_order_is_identity_ranking(self):
         t = TotalOrder.natural(4)
         assert t.ranks == (1, 2, 3, 4)

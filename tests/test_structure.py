@@ -60,6 +60,15 @@ class TestDecompositionType:
         with pytest.raises(ValueError, match=f"^class rank {rank!r} is not an integer$"):
             KimuraDecomposition(WeakOrder((1, 1)), ((rank, "left"),))
 
+    def test_rejects_an_order_that_is_not_a_weak_order(self):
+        with pytest.raises(ValueError, match=r"^order \(1, 1\) is not a WeakOrder$"):
+            KimuraDecomposition((1, 1), ())
+
+    def test_rejects_choices_that_are_not_pairs(self):
+        message = r"^choices \(\(1,\),\) are not \(rank, side\) pairs$"
+        with pytest.raises(ValueError, match=message):
+            KimuraDecomposition(WeakOrder((1, 1)), ((1,),))
+
     def test_requires_a_nonempty_set(self):
         # `build` trusts a decomposition, so the empty table is refused here
         with pytest.raises(ValueError, match="n >= 1"):
@@ -134,6 +143,20 @@ class TestProjectionRows:
         # a singleton class has one row, shared by both sides
         assert pairs[3][0] is pairs[3][1]
         assert pairs[3][0] == (4, 4, 4, 4, 4)
+
+    def test_rows_past_the_row_table(self):
+        # the row table holds n * 2^n rows, so it stops at ROW_TABLE_MAX_N and
+        # a larger n reads each row from the rule: at n = 24 a table would
+        # not fit in memory
+        n = 24
+        d = decomp([1, 1, *range(2, n)], **{"1": "right"})
+        f = build(d)
+        assert f == build_cell_by_cell(d)
+        lefts, rights = zip(*projection_rows(d.order))
+        assert rights == f.rows
+        assert lefts[0] == (1, 1, *range(3, n + 1))
+        with pytest.raises(CapacityError):
+            structure._row_table(n)
 
 
 class TestInducedWeakOrder:
