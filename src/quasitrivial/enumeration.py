@@ -6,11 +6,19 @@ lexicographic rank-vector order; the operations of one ordering stream as
 first, left before right.  The i-th tuple of that product is i in binary,
 the bottom class its most significant digit and right its 1.
 
-`rank_vectors` yields the vectors that share their first n - 1 ranks as one
-batch.  The operation stream walks the rank vectors themselves and makes no
+`rank_vectors` walks prefixes that stop three positions short of n and
+reads the surjective completions of each from a table built once per call,
+keyed by the ranks the prefix holds; the vectors of one prefix come as one
+batch.  The peakedness families walk the same prefixes to full length, given
+a cut that drops a rank as soon as it makes a triple ending at its position
+unpeaked, so they build only the orderings they keep.
+
+The operation stream walks the rank vectors themselves and makes no
 `WeakOrder`: one pass over a vector (`structure._classes`) finds its fat
 classes and winner masks, and only for an ordering whose tables the shard
 holds are the rows read from the bounded per-n row table (`structure._rows`).
+`kimura_decompositions` makes the same one pass per ordering and builds
+its decompositions unchecked.
 
 Each family is one stream function `(n, shard_index=0, shard_count=1)`,
 restartable by calling it again, and one row of `FAMILIES` with its filters,
@@ -26,7 +34,7 @@ from functools import cache
 from itertools import chain, islice, permutations, product
 from typing import Iterator
 
-from .errors import CapacityError
+from .errors import CapacityError, ConsistencyError
 from .magmas import (
     FiniteBinOp,
     annihilator_elements,
@@ -42,7 +50,6 @@ from .structure import (
     KimuraDecomposition,
     _classes,
     _rows,
-    fat_ranks,
 )
 # unused here, but the tracer self-test (perfbench/selftest.py) patches it
 from .structure import build  # noqa: F401
@@ -91,60 +98,133 @@ def _check(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
         raise ValueError("need 0 <= shard_index < shard_count")
 
 
+def _check_weak_n(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
+    _check(n, shard_index, shard_count)
+    if n > WEAK_ORDER_MAX_N:
+        raise CapacityError(f"weak-order enumeration is limited to n <= {WEAK_ORDER_MAX_N}")
+
+
+def _check_total_n(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
+    _check(n, shard_index, shard_count)
+    if n > TOTAL_ORDER_MAX_N:
+        raise CapacityError(f"total-order enumeration is limited to n <= {TOTAL_ORDER_MAX_N}")
+    if n == 0:
+        raise ValueError("total orders need n >= 1")
+
+
+# the last positions of every rank vector, read from the completion table;
+# with 3 the table of one call holds at most 11,728 tails (at n = 10)
+_TAIL = 3
+
+
 def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
     """All surjective rank vectors on {1..n}, in lexicographic order.
 
     A prefix is viable iff the ranks skipped so far can still be filled by
     the remaining positions; the search never expands a dead prefix.  The
-    vectors that share a viable prefix of n - 1 positions come as one batch.
+    vectors that share a viable prefix of n - 3 positions come as one batch,
+    their last positions read from a completion table.
     """
     _check(n)
-    if n == 0:
-        return iter([()])
     return chain.from_iterable(_rank_vector_batches(n))
 
 
-def _rank_vector_batches(n: int) -> Iterator[list[tuple[int, ...]]]:
-    last = n - 1
-    if not last:
-        yield [(1,)]
+def _rank_vector_batches(n: int, cut=None) -> Iterator[list[tuple[int, ...]]]:
+    """The rank vectors of length n in lexicographic order, one list per
+    prefix the walk stops at.
+
+    Without a cut the walk stops `_TAIL` positions short of n (at once for
+    n <= `_TAIL`) and reads every surjective completion of the prefix from a
+    table keyed by its set of ranks, which gives the largest rank so far and
+    the unused ranks below it.  The table is built as the walk asks for it,
+    once per call.  With a cut the walk runs to full length and drops rank r
+    at a position whenever ``cut(head, r)`` holds for the ranks `head`
+    before it, so its subtree is never expanded.
+    """
+    tail = 0 if cut is not None else min(n, _TAIL)
+    depth = n - tail
+    table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    if not depth:
+        yield _completions(table, 0, tail)
         return
-    counts = [0] * (n + 1)
-    # ones[k]: the one-tuples (1,) .. (k,), the choices of the last position
-    ones = [[(r,) for r in range(1, k + 1)] for k in range(n + 1)]
-
-    def walk(i: int, head: tuple[int, ...], top: int, missing: int) -> Iterator[list]:
+    # the prefixes still to expand, the next one last, each with its ranks
+    # as the bits of a mask (bit r for rank r)
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        head, used = stack.pop()
+        i = len(head)
         slots = n - i - 1
-        hi = min(n, top + (n - i) - missing)
-        for r in range(1, hi + 1):
-            if r <= top:
-                gap = missing - (counts[r] == 0)
-                new_top = top
-            else:
-                gap = missing + (r - top - 1)
-                new_top = r
-            if gap > slots:
+        kids = []
+        for r in range(1, used.bit_count() + n - i + 1):
+            new = used | 1 << r
+            # the ranks below the top still unused must fit the slots left
+            if new.bit_length() - 1 - new.bit_count() > slots:
                 continue
-            prefix = head + (r,)
-            counts[r] += 1
-            if i + 1 < last:
-                yield from walk(i + 1, prefix, new_top, gap)
-            elif gap:
-                # a viable prefix misses at most one rank: the last position
-                # takes it, or else any rank up to one past the top
-                yield [prefix + (counts.index(0, 1),)]
-            else:
-                yield [prefix + one for one in ones[new_top + 1]]
-            counts[r] -= 1
+            if cut is not None and cut(head, r):
+                continue
+            kids.append((head + (r,), new))
+        if i + 1 < depth:
+            stack += reversed(kids)
+        else:
+            for prefix, new in kids:
+                yield [prefix + rest for rest in _completions(table, new, tail)]
 
-    yield from walk(0, (), 0, 0)
+
+def _completions(table: dict, used: int, t: int) -> list[tuple[int, ...]]:
+    """Every surjective completion of t positions after a prefix whose ranks
+    are the bits of `used`, in lexicographic order; `table` holds those
+    found so far, keyed by (used, t)."""
+    found = table.get((used, t))
+    if found is None:
+        if t:
+            # a rank above the distinct ones plus t could never be reached
+            found = [
+                (r, *rest)
+                for r in range(1, used.bit_count() + t + 1)
+                for rest in _completions(table, used | 1 << r, t - 1)
+            ]
+        else:
+            # surjective iff bits 1..top are all set: adding 2 carries
+            # through them all
+            found = [] if used & (used + 2) else [()]
+        table[used, t] = found
+    return found
+
+
+def _unpeaked(head: tuple[int, ...], r: int) -> bool:
+    """Whether rank r after the ranks `head` makes some a < b < i a triple
+    whose middle b is ranked at or above both ends, not all three equal: the
+    triples of `is_weakly_single_peaked` for 1 < ... < n that end at i."""
+    if not head:
+        return False
+    # rb is the rank of b = 2, 3, ... in turn, low the least rank before it
+    low = head[0]
+    for rb in head[1:]:
+        if low <= rb and (rb > r or rb == r and low < rb):
+            return True
+        low = min(low, rb)
+    return False
+
+
+def _repeated_or_unpeaked(head: tuple[int, ...], r: int) -> bool:
+    """`_unpeaked` for total orderings, whose ranks are also distinct."""
+    return r in head or _unpeaked(head, r)
+
+
+def _peaked_walk(n: int, cut, make) -> Iterator[WeakOrder]:
+    """The orderings of the walk pruned by `cut`, each made by `make` and
+    held to `is_weakly_single_peaked` for 1 < ... < n."""
+    ref = _natural(n)
+    for ranks in chain.from_iterable(_rank_vector_batches(n, cut)):
+        order = make(ranks)
+        if not is_weakly_single_peaked(ref, order):
+            raise ConsistencyError(f"the pruned walk kept {ranks}, not weakly single-peaked")
+        yield order
 
 
 def weak_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[WeakOrder]:
     """All weak orderings of {1..n} in lexicographic rank-vector order."""
-    _check(n, shard_index, shard_count)
-    if n > WEAK_ORDER_MAX_N:
-        raise CapacityError(f"weak-order enumeration is limited to n <= {WEAK_ORDER_MAX_N}")
+    _check_weak_n(n, shard_index, shard_count)
     # the vectors are sliced before any object is made, and made unchecked:
     # `rank_vectors` yields only surjective ones
     vectors = islice(rank_vectors(n), shard_index, None, shard_count)
@@ -153,32 +233,31 @@ def weak_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[
 
 def total_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[TotalOrder]:
     """All total orderings of {1..n} in lexicographic rank-vector order."""
-    _check(n, shard_index, shard_count)
-    if n > TOTAL_ORDER_MAX_N:
-        raise CapacityError(f"total-order enumeration is limited to n <= {TOTAL_ORDER_MAX_N}")
-    if n == 0:
-        raise ValueError("total orders need n >= 1")
+    _check_total_n(n, shard_index, shard_count)
     # made unchecked: a permutation of 1..n is a valid rank vector
     vectors = islice(permutations(range(1, n + 1)), shard_index, None, shard_count)
     return map(TotalOrder._trusted, vectors)
 
 
-def _peaked(stream):
-    """The family of the orderings of `stream` that are weakly single-peaked
-    for 1 < ... < n; on total orderings that is single-peakedness.  It is
-    indexed after its test: every ordering is built and tested, and what
-    passes is sliced."""
+# The peakedness families walk only the prefixes whose triples pass, in the
+# order of their base stream.  They are indexed after their test: a shard
+# slices what passes.
 
-    def family(n: int, shard_index: int = 0, shard_count: int = 1):
-        _check(n, shard_index, shard_count)
-        orders = stream(n)
-        if n == 0:
-            raise ValueError("peakedness families need n >= 1")
-        ref = _natural(n)
-        kept = (o for o in orders if is_weakly_single_peaked(ref, o))
-        return islice(kept, shard_index, None, shard_count)
 
-    return family
+def _peaked_weak_orders(n: int, shard_index: int = 0, shard_count: int = 1):
+    """The weak orderings of {1..n} weakly single-peaked for 1 < ... < n."""
+    _check_weak_n(n, shard_index, shard_count)
+    if n == 0:
+        raise ValueError("peakedness families need n >= 1")
+    kept = _peaked_walk(n, _unpeaked, WeakOrder._trusted)
+    return islice(kept, shard_index, None, shard_count)
+
+
+def _peaked_total_orders(n: int, shard_index: int = 0, shard_count: int = 1):
+    """The total orderings of {1..n} single-peaked for 1 < ... < n."""
+    _check_total_n(n, shard_index, shard_count)
+    kept = _peaked_walk(n, _repeated_or_unpeaked, TotalOrder._trusted)
+    return islice(kept, shard_index, None, shard_count)
 
 
 def _check_operation_n(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
@@ -202,10 +281,13 @@ def _sides(m: int) -> tuple[tuple[int, ...], ...]:
 def kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
     """All factored forms on {1..n}, in the stream order of the module."""
     _check_operation_n(n)
+    # one pass per ordering finds its fat ranks, so each decomposition is
+    # valid as made and made unchecked
+    make = KimuraDecomposition._trusted
     return (
-        KimuraDecomposition(order, tuple(zip(fat, sides)))
-        for order in weak_orders(n)
-        for fat in [fat_ranks(order)]
+        make(order, tuple(zip(fat, sides)))
+        for order in map(WeakOrder._trusted, rank_vectors(n))
+        for fat in [_classes(order.ranks)[0]]
         for sides in product((LEFT, RIGHT), repeat=len(fat))
     )
 
@@ -255,8 +337,8 @@ def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[Finit
 FAMILIES = {
     "total-orders": (total_orders, ORDER_FILTERS, "emit_total_order"),
     "weak-orders": (weak_orders, ORDER_FILTERS, "emit_weak_order"),
-    "single-peaked-total-orders": (_peaked(total_orders), ORDER_FILTERS, "emit_total_order"),
-    "weakly-single-peaked-weak-orders": (_peaked(weak_orders), ORDER_FILTERS, "emit_weak_order"),
+    "single-peaked-total-orders": (_peaked_total_orders, ORDER_FILTERS, "emit_total_order"),
+    "weakly-single-peaked-weak-orders": (_peaked_weak_orders, ORDER_FILTERS, "emit_weak_order"),
     "qt-semigroups": (qt_semigroups, OPERATION_FILTERS, "emit_cayley_line"),
 }
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
-from .orders import TotalOrder, _check_ints
+from .orders import TotalOrder, _check_ints, _new, _set_field
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class FiniteBinOp:
         """The table of `rows` without the check: only for rows known to be
         n tuples of n ints in 1..n, by construction or by the parser's own
         check.  Equal to, and hashing like, ``FiniteBinOp(rows)``."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "rows", rows)
+        f = _new(cls)
+        _set_field(f, "rows", rows)
         return f
 
     @classmethod

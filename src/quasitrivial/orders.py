@@ -26,6 +26,14 @@ def _rank_tuple(ranks: object) -> tuple:
         raise ValueError(f"rank vector {ranks!r} is not a sequence") from None
 
 
+# The trusted constructors make an instance and set its fields with these,
+# bound once.  `object.__setattr__` gets past a frozen dataclass and keeps
+# the fields in CPython's inline attribute values; writing into `__dict__`
+# instead makes a dict per instance, and every later field read is slower.
+_new = object.__new__
+_set_field = object.__setattr__
+
+
 def _check_ints(values: Sequence[object], what: str) -> None:
     """ValueError naming the first of `values` that is not an int; a bool is
     not one.  The check is one pass of the values' types, not a Python loop."""
@@ -53,8 +61,8 @@ class WeakOrder:
         """The weak ordering of `ranks` without the check: only for a
         generator whose vectors are tuples of ints surjective onto 1..k by
         construction.  Equal to, and hashing like, ``WeakOrder(ranks)``."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "ranks", ranks)
+        w = _new(cls)
+        _set_field(w, "ranks", ranks)
         return w
 
     @property

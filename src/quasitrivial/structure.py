@@ -27,7 +27,7 @@ from .magmas import (
     is_quasitrivial,
     neutral_elements,
 )
-from .orders import TotalOrder, WeakOrder, _check_ints, is_weakly_single_peaked
+from .orders import TotalOrder, WeakOrder, _check_ints, _new, _set_field, is_weakly_single_peaked
 
 MONOTONE_SEARCH_MAX_N = 8
 # `classify` lists at most this many monotonizing orderings
@@ -66,6 +66,18 @@ class KimuraDecomposition:
         for _, side in choices:
             if side not in (LEFT, RIGHT):
                 raise ValueError(f"invalid projection side {side!r}")
+
+    @classmethod
+    def _trusted(
+        cls, order: WeakOrder, choices: tuple[tuple[int, str], ...]
+    ) -> "KimuraDecomposition":
+        """The decomposition without the check: only for a generator that
+        pairs the fat ranks of `order` with sides by construction.  Equal
+        to, and hashing like, ``KimuraDecomposition(order, choices)``."""
+        d = _new(cls)
+        _set_field(d, "order", order)
+        _set_field(d, "choices", choices)
+        return d
 
     @classmethod
     def make(cls, order: WeakOrder, sides: Mapping[int, str]) -> "KimuraDecomposition":

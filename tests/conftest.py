@@ -3,7 +3,8 @@ the suite, exhaustive table generators, the plain references that the
 pruned searches are compared with (the factorial filter for the
 monotonizing-order search, the exhaustive mask loop for the oracle's raw
 quasitrivial search, and the `Fraction` series division for the scaled-integer
-one), the alternating-sum Stirling numbers, random idempotent tables, total
+one, and the filtered stream of every ordering for the pruned peakedness
+walks), the alternating-sum Stirling numbers, random idempotent tables, total
 orderings as weak ones and dual single-peakedness by definition, the published
 rows of the q, u and v families, and one session-wide run of each
 `verify full` check.
@@ -27,8 +28,10 @@ from quasitrivial import (
     TotalOrder,
     WeakOrder,
     is_order_preserving,
+    is_weakly_single_peaked,
     verify,
 )
+from quasitrivial.enumeration import total_orders, weak_orders
 from quasitrivial.formats import parse_cayley
 from quasitrivial.oracle import _is_associative_flat, _triples_distinct_first
 
@@ -65,6 +68,15 @@ def monotonizing_orders_by_filter(f):
         t = TotalOrder.from_ordered_elements(elems)
         if is_order_preserving(f, t):
             yield t
+
+
+def peaked_by_filter(family, n):
+    """The orderings of the family's base stream, every weak or every total
+    ordering of 1..n in stream order, kept when weakly single-peaked for
+    1 < ... < n: each one built and tested."""
+    base = total_orders(n) if family == "single-peaked-total-orders" else weak_orders(n)
+    reference = TotalOrder.natural(n)
+    return [o for o in base if is_weakly_single_peaked(reference, o)]
 
 
 def sampled_decomposition(n, rng, thin=False):

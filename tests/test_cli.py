@@ -67,6 +67,19 @@ class TestCount:
         assert methods == {"closed", "recurrence", "egf", "appendix", "enumerate"}
         assert all(line.split()[2] == "12166" for line in lines[:-1])
 
+    @pytest.mark.parametrize(
+        "name,value,methods",
+        [("u", 4059, ["closed", "recurrence", "gf", "enumerate"]),
+         ("sp", 512, ["closed", "enumerate"])],
+    )
+    def test_peakedness_families_count_at_ten(self, capsys, name, value, methods):
+        # the pruned walks reach n = 10, where the filtered stream of every
+        # weak ordering (102,247,563 of them) would take hours
+        code, out, err = run(capsys, "count", name, "10", "--method", "all")
+        assert (code, err) == (0, "")
+        lines = [f"{name} 10 {value} {method}" for method in methods]
+        assert out.splitlines() == lines + [f"{name} 10 MATCH"]
+
     def test_all_includes_bruteforce_within_capacity(self, capsys):
         code, out, _ = run(capsys, "count", "q", "3", "--method", "all")
         assert code == 0
@@ -792,6 +805,15 @@ class TestDeterminism:
             "88b3b99c30f7dda5da6719b857b647a726bf504570b2c5d25c00c11059ef0d17",
         ("qt-semigroups", "--n", "6", "--shards", "7", "--shard", "3"):
             "5336c03922152c49ad1664e6c704911fd313f2b31332c63f8cfbb8c1f6d6dc8f",
+        # computed before the rank vectors read their last positions from a
+        # completion table and the peakedness families walked only peaked
+        # prefixes (about 1 s in process for the weak orderings)
+        ("weak-orders", "--n", "8"):
+            "3296dfc5adfcf6891b7c5b96d6702cde7c9db43226a250ff6d2f94c494fb655d",
+        ("weakly-single-peaked-weak-orders", "--n", "8"):
+            "05d1abeacfb4584a0eff3932b3087a232738e833a8a438ae9a43309b6f342449",
+        ("single-peaked-total-orders", "--n", "8"):
+            "eab3265d861cbb816fdc1a97f0d924c084b69104a47a040fb9e1a9f93bf96903",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED_SHA256))

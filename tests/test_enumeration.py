@@ -7,13 +7,16 @@ import pytest
 
 from quasitrivial import (
     CapacityError,
+    ConsistencyError,
     FiniteBinOp,
+    KimuraDecomposition,
     WeakOrder,
     is_associative,
     is_commutative,
     is_quasitrivial,
     neutral_elements,
 )
+from quasitrivial import enumeration
 from quasitrivial.counting import ordered_bell, q_recurrence, v_recurrence
 from quasitrivial.enumeration import (
     FAMILIES,
@@ -31,6 +34,8 @@ from quasitrivial.enumeration import (
 )
 from quasitrivial.formats import emit_cayley_line, emit_weak_order
 from quasitrivial.structure import build
+
+from conftest import peaked_by_filter
 
 
 def independent_ordered_bell(n):
@@ -104,14 +109,43 @@ class TestTrustedConstruction:
                 assert checked == w and hash(checked) == hash(w)
                 assert type(w.ranks) is tuple and all(type(r) is int for r in w.ranks)
 
+    def test_decompositions_equal_validated_ones(self):
+        for n in range(1, 7):
+            for d in kimura_decompositions(n):
+                checked = KimuraDecomposition(d.order, d.choices)
+                assert checked == d and hash(checked) == hash(d)
+                assert type(d.order) is WeakOrder and type(d.choices) is tuple
+                assert all(type(pair) is tuple for pair in d.choices)
+
+
+class TestCompletionTable:
+    """`rank_vectors` reads the last positions of every vector from a table
+    of completions; below the table's length the whole vector comes from it."""
+
     def test_rank_vectors_match_filtered_product(self):
         # reference: every vector over 1..n whose values are exactly 1..k
-        for n in range(7):
+        for n in range(8):
             reference = sorted(
                 v for v in itertools.product(range(1, n + 1), repeat=n)
                 if set(v) == set(range(1, max(v, default=0) + 1))
             )
             assert list(rank_vectors(n)) == reference
+
+    def test_eight_positions_strictly_increasing(self):
+        vectors = list(rank_vectors(8))
+        assert len(vectors) == 545835 == ordered_bell(8)
+        assert all(a < b for a, b in zip(vectors, vectors[1:]))
+        assert all(len(v) == 8 for v in vectors)
+
+    def test_one_batch_per_prefix(self):
+        # each batch holds the vectors of one prefix that stops short of the
+        # table's length, so the batches split the stream at prefix changes
+        depth = 6 - enumeration._TAIL
+        batches = list(enumeration._rank_vector_batches(6))
+        assert [v for batch in batches for v in batch] == list(rank_vectors(6))
+        heads = [{v[:depth] for v in batch} for batch in batches]
+        assert all(len(head) == 1 for head in heads)
+        assert len(set().union(*heads)) == len(batches)
 
 
 class TestTotalOrderStream:
@@ -279,6 +313,38 @@ class TestPeakedFamilies:
         for n in range(1, 7):
             assert count(FamilySpec("weakly-single-peaked-weak-orders", n)) == u_recurrence(n)
             assert count(FamilySpec("single-peaked-total-orders", n)) == single_peaked_count(n)
+
+    @pytest.mark.parametrize(
+        "family", ["weakly-single-peaked-weak-orders", "single-peaked-total-orders"]
+    )
+    def test_pruned_walk_equals_filtered_stream(self, family):
+        for n in range(1, 9):
+            assert list(generate(FamilySpec(family, n))) == peaked_by_filter(family, n)
+
+    @pytest.mark.parametrize(
+        "family", ["weakly-single-peaked-weak-orders", "single-peaked-total-orders"]
+    )
+    def test_shards_slice_the_filtered_stream(self, family):
+        for n in range(1, 8):
+            reference = peaked_by_filter(family, n)
+            for shards in (2, 3, 7):
+                for i in range(shards):
+                    got = list(generate(FamilySpec(family, n), i, shards))
+                    assert got == reference[i::shards]
+
+    @pytest.mark.parametrize(
+        "family,cut,loose",
+        [
+            ("weakly-single-peaked-weak-orders", "_unpeaked", lambda head, r: False),
+            ("single-peaked-total-orders", "_repeated_or_unpeaked", lambda head, r: r in head),
+        ],
+    )
+    def test_a_leaf_the_test_rejects_is_an_inconsistency(self, monkeypatch, family, cut, loose):
+        # every kept leaf is still held to `is_weakly_single_peaked`, so a cut
+        # that lets an unpeaked ordering through cannot pass silently
+        monkeypatch.setattr(enumeration, cut, loose)
+        with pytest.raises(ConsistencyError):
+            list(generate(FamilySpec(family, 4)))
 
     def test_order_filters_apply_to_total_orders(self):
         # total orderings trivially have unique extremes (distinct once n >= 2)
