@@ -1,10 +1,11 @@
 """Exhaustive, deterministic generators for the counted object families.
 
 Generation order is part of the contract: weak orderings stream in
-lexicographic rank-vector order; the operations of one ordering stream as
-`itertools.product` over its fat classes (those of size >= 2), bottom class
-first, left before right.  The i-th tuple of that product is i in binary,
-the bottom class its most significant digit and right its 1.
+lexicographic rank-vector order; the operations of one ordering and its
+factored forms stream in one order, which `qt_semigroups` and
+`kimura_decompositions` both read from one table of the sides of its fat
+classes (those of size >= 2), `_sides`.  The i-th entry is i in binary, the
+bottom class its most significant digit and right its 1.
 
 `rank_vectors` walks prefixes that stop three positions short of n and
 reads the surjective completions of each from a table built once per call,
@@ -282,13 +283,14 @@ def kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
     """All factored forms on {1..n}, in the stream order of the module."""
     _check_operation_n(n)
     # one pass per ordering finds its fat ranks, so each decomposition is
-    # valid as made and made unchecked
+    # valid as made and made unchecked; `zip` drops the trailing 0 of a side
     make = KimuraDecomposition._trusted
+    side = (LEFT, RIGHT)
     return (
-        make(order, tuple(zip(fat, sides)))
+        make(order, tuple([(r, side[s]) for r, s in zip(fat, sides)]))
         for order in map(WeakOrder._trusted, rank_vectors(n))
         for fat in [_classes(order.ranks)[0]]
-        for sides in product((LEFT, RIGHT), repeat=len(fat))
+        for sides in _sides(len(fat))
     )
 
 

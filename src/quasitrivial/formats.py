@@ -131,7 +131,7 @@ def _row_text(row: tuple[int, ...]) -> str:
 
 
 def emit_cayley_line(f: FiniteBinOp) -> str:
-    return f"cayley {f.n} : " + " ".join(map(_row_text, f.rows))
+    return f"cayley {len(f.rows)} : " + " ".join(map(_row_text, f.rows))
 
 
 def load_table(text: str) -> FiniteBinOp:

@@ -188,25 +188,25 @@ def annihilator_elements(f: FiniteBinOp) -> frozenset[int]:
     )
 
 
-def _value_counts(f: FiniteBinOp) -> list[int]:
+def _degrees(f: FiniteBinOp) -> list[int]:
+    """`f_degree` of every element in turn, from one count of the values."""
     counts = [0] * (f.n + 1)
     for row in f.rows:
         for v in row:
             counts[v] += 1
-    return counts
+    return [counts[row[z]] - 1 for z, row in enumerate(f.rows)]
 
 
 def f_degree(f: FiniteBinOp, z: int) -> int:
     """Number of points other than (z,z) sharing the value F(z,z)."""
     if not 1 <= z <= f.n:
         raise ValueError(f"element {z} is not in 1..{f.n}")
-    return _value_counts(f)[f(z, z)] - 1
+    return _degrees(f)[z - 1]
 
 
 def degree_sequence(f: FiniteBinOp) -> tuple[int, ...]:
     """All degrees, sorted nondecreasing."""
-    counts = _value_counts(f)
-    return tuple(sorted(counts[f(z, z)] - 1 for z in range(1, f.n + 1)))
+    return tuple(sorted(_degrees(f)))
 
 
 def graphical_quasitriviality_test(f: FiniteBinOp) -> bool:

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 from .errors import CapacityError, ConsistencyError, DecompositionError
 from .magmas import (
     FiniteBinOp,
-    _value_counts,
+    _degrees,
     annihilator_elements,
     degree_sequence,
     is_associative,
@@ -60,7 +60,7 @@ class KimuraDecomposition:
             raise ValueError("a decomposition needs n >= 1")
         ranks = [r for r, _ in choices]
         _check_ints(ranks, "class rank")
-        big = fat_ranks(self.order)
+        big = _classes(self.order.ranks)[0]
         if ranks != big:
             raise ValueError(f"choices must cover exactly the class ranks {big}")
         for _, side in choices:
@@ -158,23 +158,6 @@ def _rows(ranks: tuple[int, ...], at_least: list[int]):
     return lefts, rights
 
 
-def fat_ranks(order: WeakOrder) -> list[int]:
-    """Ranks of the classes of size >= 2, bottom first."""
-    return _classes(order.ranks)[0]
-
-
-def projection_rows(order: WeakOrder) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Row x of every table with weak ordering `order`, for each x: the pair
-    (row when x's class is a left projection, row when it is a right one).
-
-    Across distinct classes the strictly larger argument wins; inside x's
-    class the projection applies.  The two rows differ only inside the class,
-    so for a singleton class the pair holds the same row twice.
-    """
-    ranks = order.ranks
-    return tuple(zip(*_rows(ranks, _classes(ranks)[1])))
-
-
 def build(d: KimuraDecomposition) -> FiniteBinOp:
     """The table of a decomposition: across distinct classes the strictly
     larger argument wins, inside a class the chosen projection applies.
@@ -222,12 +205,6 @@ def induced_weak_order(f: FiniteBinOp) -> WeakOrder:
     return _ranks_from_levels(_pairwise_levels(f))
 
 
-def _degrees(f: FiniteBinOp) -> list[int]:
-    """`f_degree` of every element in turn, from one count of the values."""
-    counts = _value_counts(f)
-    return [counts[row[z]] - 1 for z, row in enumerate(f.rows)]
-
-
 def weak_order_from_degrees(f: FiniteBinOp) -> WeakOrder:
     """The same weak ordering recovered by sorting degrees nondecreasingly."""
     _require_decomposable(f)
@@ -238,32 +215,30 @@ def decompose(f: FiniteBinOp) -> KimuraDecomposition:
     """Recover the factored form; `build(decompose(f))` equals f exactly.
 
     The ordering is derived pairwise and cross-validated against the degree
-    route; a mismatch can only indicate a bug and raises ConsistencyError.
+    route, then the result is rebuilt and compared with f cell by cell; a
+    mismatch in either can only indicate a bug and raises ConsistencyError.
     """
     _require_decomposable(f)
     return _factor(f)
 
 
 def _factor(f: FiniteBinOp) -> KimuraDecomposition:
-    """`decompose` of an f already known associative and quasitrivial."""
+    """`decompose` of an f known associative and quasitrivial: the ordering
+    read pairwise, then by degrees; each fat class's side at its two least
+    elements; then every cell, by building the result."""
     order = _ranks_from_levels(_pairwise_levels(f))
     if order != _ranks_from_levels(_degrees(f)):
         raise ConsistencyError("pairwise and degree-based orderings disagree")
-    sides = {}
+    choices = []
     for rank, block in enumerate(order.classes(), start=1):
-        if len(block) < 2:
-            continue
-        members = sorted(block)
-        a, b = members[0], members[1]
-        side = LEFT if f(a, b) == a else RIGHT
-        for u in members:
-            for v in members:
-                if u != v and f(u, v) != (u if side == LEFT else v):
-                    raise ConsistencyError(
-                        f"class {members} is not a projection on all pairs"
-                    )
-        sides[rank] = side
-    return KimuraDecomposition.make(order, sides)
+        if len(block) > 1:
+            a, b = sorted(block)[:2]
+            choices.append((rank, LEFT if f(a, b) == a else RIGHT))
+    # one side per class of size >= 2, bottom first: valid as made
+    d = KimuraDecomposition._trusted(order, tuple(choices))
+    if build(d) != f:
+        raise ConsistencyError("the factored form does not rebuild the table")
+    return d
 
 
 def commutative_characterization(f: FiniteBinOp) -> TotalOrder | None:
@@ -277,7 +252,7 @@ def commutative_characterization(f: FiniteBinOp) -> TotalOrder | None:
     quasitrivial = is_quasitrivial(f)
     order = None
     if quasitrivial and is_commutative(f) and is_associative(f):
-        order = _ranks_from_levels(_pairwise_levels(f))
+        order = _factor(f).order
     return _max_order(f, quasitrivial, order)
 
 
@@ -505,6 +480,9 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
             monotone.append(t)
     except CapacityError:
         truncated = True
+    order_preserving = is_order_preserving(f, reference)
+    if wsp is not None and wsp != order_preserving:
+        raise ConsistencyError("order preservation and weak single-peakedness disagree")
     return ClassificationReport(
         **vars(properties),
         decomposition=decomposition,
@@ -512,7 +490,7 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
             f, properties.quasitrivial,
             decomposition.order if decomposition is not None and properties.commutative else None,
         ),
-        order_preserving_for_reference=is_order_preserving(f, reference),
+        order_preserving_for_reference=order_preserving,
         weakly_single_peaked_for_reference=wsp,
         monotone_for=tuple(monotone),
         monotone_for_truncated=truncated,

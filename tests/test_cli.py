@@ -326,7 +326,7 @@ class TestClassifyDecompose:
         # both routes read one class, on which the table is no projection
         ("decompose", X4_PEAKED, "_ranks_from_levels",
          lambda real: lambda levels: WeakOrder((1,) * len(levels)),
-         "class [1, 2, 3, 4] is not a projection on all pairs"),
+         "the factored form does not rebuild the table"),
         # a table taken as commutative whose factorization has the class {1, 3}
         ("classify", X4_PEAKED, "is_commutative", lambda real: lambda f: True,
          "commutative factorization has a fat class"),
@@ -334,7 +334,13 @@ class TestClassifyDecompose:
         ("classify", "cayley 3\n1 2 3\n2 2 3\n3 3 3\n", "_degrees",
          lambda real: lambda f: [3 * d for d in real(f)],
          "structure and degree characterizations disagree"),
-    ], ids=["pairwise-vs-degrees", "projection", "fat-class", "max-vs-degrees"])
+        # the theorem: a factorization's ordering is weakly single-peaked for
+        # the reference exactly when the table is order-preserving for it
+        ("classify", X4_PEAKED, "is_weakly_single_peaked",
+         lambda real: lambda t, w: not real(t, w),
+         "order preservation and weak single-peakedness disagree"),
+    ], ids=["pairwise-vs-degrees", "projection", "fat-class", "max-vs-degrees",
+            "preserving-vs-peaked"])
     def test_broken_structure_route_is_a_failed_check(self, capsys, monkeypatch, command, text,
                                                       name, tamper, message):
         monkeypatch.setattr(structure, name, tamper(getattr(structure, name)))

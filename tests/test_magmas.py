@@ -208,6 +208,16 @@ class TestDegrees:
     def test_showcase_degrees(self, x6_single_peaked_max):
         assert degree_sequence(x6_single_peaked_max) == (0, 2, 4, 6, 8, 10)
 
+    def test_degrees_by_definition(self):
+        # every table with n <= 3: the cells other than (z, z) holding F(z, z)
+        for n in range(1, 4):
+            cells = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+            for f in all_tables(n):
+                degrees = [sum(1 for x, y in cells if (x, y) != (z, z) and f(x, y) == f(z, z))
+                           for z in range(1, n + 1)]
+                assert [f_degree(f, z) for z in range(1, n + 1)] == degrees
+                assert degree_sequence(f) == tuple(sorted(degrees))
+
     def test_neutral_iff_degree_zero(self):
         for f in all_quasitrivial_tables(4):
             neutral = neutral_elements(f)

@@ -30,7 +30,7 @@ from quasitrivial import structure
 from quasitrivial.enumeration import kimura_decompositions, qt_semigroups
 from quasitrivial.formats import parse_cayley_line
 from quasitrivial.magmas import order_preserving_by_definition
-from quasitrivial.structure import monotonizing_orders, projection_rows
+from quasitrivial.structure import _classes, _rows, monotonizing_orders
 
 from conftest import (
     all_quasitrivial_tables,
@@ -136,8 +136,8 @@ class TestProjectionRows:
                 assert build(d) == build_cell_by_cell(d)
 
     def test_rows_differ_only_inside_the_class(self):
-        order = WeakOrder((2, 1, 2, 3, 1))
-        pairs = projection_rows(order)
+        ranks = (2, 1, 2, 3, 1)
+        pairs = tuple(zip(*_rows(ranks, _classes(ranks)[1])))
         assert pairs[0] == ((1, 1, 1, 4, 1), (1, 1, 3, 4, 1))
         assert pairs[1] == ((1, 2, 3, 4, 2), (1, 2, 3, 4, 5))
         # a singleton class has one row, shared by both sides
@@ -152,7 +152,7 @@ class TestProjectionRows:
         d = decomp([1, 1, *range(2, n)], **{"1": "right"})
         f = build(d)
         assert f == build_cell_by_cell(d)
-        lefts, rights = zip(*projection_rows(d.order))
+        lefts, rights = _rows(d.order.ranks, _classes(d.order.ranks)[1])
         assert rights == f.rows
         assert lefts[0] == (1, 1, *range(3, n + 1))
         with pytest.raises(CapacityError):
@@ -253,6 +253,17 @@ class TestDecompose:
             }
             d = KimuraDecomposition.make(order, sides)
             assert decompose(build(d)) == d
+
+    def test_factorizations_equal_validated_ones(self):
+        # `decompose` makes its result without re-validating it; it must
+        # still be the decomposition the validating constructor makes
+        for n in range(1, 6):
+            for f in qt_semigroups(n):
+                d = decompose(f)
+                checked = KimuraDecomposition(d.order, d.choices)
+                assert checked == d and hash(checked) == hash(d)
+                assert type(d.choices) is tuple
+                assert all(type(pair) is tuple for pair in d.choices)
 
     def test_neutral_iff_bottom_singleton(self):
         from quasitrivial import annihilator_elements, neutral_elements
