@@ -24,8 +24,8 @@ its decompositions unchecked.
 Each family is one stream function `(n, shard_index=0, shard_count=1)`,
 restartable by calling it again, and one row of `FAMILIES` with its filters,
 each a predicate of the object alone, and the name of its line emitter.
-A stream checks its input when called, in this order: n < 0, the shard, the
-size cap, then n = 0 for an empty family.
+A stream checks its input when called, by one call of `_check`, which states
+the order: n < 0, the shard, the size cap, then n = 0 for an empty family.
 """
 
 from __future__ import annotations
@@ -92,25 +92,19 @@ OPERATION_FILTERS = {
 }
 
 
-def _check(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
+def _check(n: int, shard_index: int = 0, shard_count: int = 1, cap: int | None = None,
+           what: str = "", empty: str | None = None) -> None:
+    """The input rule of every stream, in its order: n < 0, the shard, the
+    size cap `cap` of the family `what`, then n = 0, which raises `empty`
+    unless it is None (an empty set allowed)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= shard_index < shard_count:
         raise ValueError("need 0 <= shard_index < shard_count")
-
-
-def _check_weak_n(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
-    _check(n, shard_index, shard_count)
-    if n > WEAK_ORDER_MAX_N:
-        raise CapacityError(f"weak-order enumeration is limited to n <= {WEAK_ORDER_MAX_N}")
-
-
-def _check_total_n(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
-    _check(n, shard_index, shard_count)
-    if n > TOTAL_ORDER_MAX_N:
-        raise CapacityError(f"total-order enumeration is limited to n <= {TOTAL_ORDER_MAX_N}")
-    if n == 0:
-        raise ValueError("total orders need n >= 1")
+    if cap is not None and n > cap:
+        raise CapacityError(f"{what} enumeration is limited to n <= {cap}")
+    if n == 0 and empty is not None:
+        raise ValueError(empty)
 
 
 # the last positions of every rank vector, read from the completion table;
@@ -225,7 +219,7 @@ def _peaked_walk(n: int, cut, make) -> Iterator[WeakOrder]:
 
 def weak_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[WeakOrder]:
     """All weak orderings of {1..n} in lexicographic rank-vector order."""
-    _check_weak_n(n, shard_index, shard_count)
+    _check(n, shard_index, shard_count, WEAK_ORDER_MAX_N, "weak-order")
     # the vectors are sliced before any object is made, and made unchecked:
     # `rank_vectors` yields only surjective ones
     vectors = islice(rank_vectors(n), shard_index, None, shard_count)
@@ -234,7 +228,8 @@ def weak_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[
 
 def total_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[TotalOrder]:
     """All total orderings of {1..n} in lexicographic rank-vector order."""
-    _check_total_n(n, shard_index, shard_count)
+    _check(n, shard_index, shard_count, TOTAL_ORDER_MAX_N, "total-order",
+           "total orders need n >= 1")
     # made unchecked: a permutation of 1..n is a valid rank vector
     vectors = islice(permutations(range(1, n + 1)), shard_index, None, shard_count)
     return map(TotalOrder._trusted, vectors)
@@ -247,28 +242,18 @@ def total_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator
 
 def _peaked_weak_orders(n: int, shard_index: int = 0, shard_count: int = 1):
     """The weak orderings of {1..n} weakly single-peaked for 1 < ... < n."""
-    _check_weak_n(n, shard_index, shard_count)
-    if n == 0:
-        raise ValueError("peakedness families need n >= 1")
+    _check(n, shard_index, shard_count, WEAK_ORDER_MAX_N, "weak-order",
+           "peakedness families need n >= 1")
     kept = _peaked_walk(n, _unpeaked, WeakOrder._trusted)
     return islice(kept, shard_index, None, shard_count)
 
 
 def _peaked_total_orders(n: int, shard_index: int = 0, shard_count: int = 1):
     """The total orderings of {1..n} single-peaked for 1 < ... < n."""
-    _check_total_n(n, shard_index, shard_count)
+    _check(n, shard_index, shard_count, TOTAL_ORDER_MAX_N, "total-order",
+           "total orders need n >= 1")
     kept = _peaked_walk(n, _repeated_or_unpeaked, TotalOrder._trusted)
     return islice(kept, shard_index, None, shard_count)
-
-
-def _check_operation_n(n: int, shard_index: int = 0, shard_count: int = 1) -> None:
-    _check(n, shard_index, shard_count)
-    if n > QT_SEMIGROUP_MAX_N:
-        raise CapacityError(
-            f"operation enumeration is limited to n <= {QT_SEMIGROUP_MAX_N}"
-        )
-    if n == 0:
-        raise ValueError("operation enumeration needs n >= 1")
 
 
 @cache
@@ -281,7 +266,7 @@ def _sides(m: int) -> tuple[tuple[int, ...], ...]:
 
 def kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
     """All factored forms on {1..n}, in the stream order of the module."""
-    _check_operation_n(n)
+    _check(n, cap=QT_SEMIGROUP_MAX_N, what="operation", empty="operation enumeration needs n >= 1")
     # one pass per ordering finds its fat ranks, so each decomposition is
     # valid as made and made unchecked; `zip` drops the trailing 0 of a side
     make = KimuraDecomposition._trusted
@@ -300,7 +285,8 @@ def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterato
     in the order of `kimura_decompositions`.  A shard builds only the tables
     whose stream index is congruent to `shard_index` modulo `shard_count`.
     """
-    _check_operation_n(n, shard_index, shard_count)
+    _check(n, shard_index, shard_count, QT_SEMIGROUP_MAX_N, "operation",
+           "operation enumeration needs n >= 1")
     return _qt_semigroups(n, shard_index, shard_count)
 
 

@@ -184,17 +184,16 @@ def _ranks_from_levels(levels: list[int]) -> WeakOrder:
 
 def _pairwise_levels(f: FiniteBinOp) -> list[int]:
     """For each element, how many elements lie strictly below it, read off
-    pairwise; f must already be known decomposable."""
-    n = f.n
+    pairwise from the rows; f must already be known decomposable."""
+    rows = f.rows
+    n = len(rows)
     below = [0] * n
-    for x in range(1, n + 1):
-        for y in range(x + 1, n + 1):
-            le_xy = f(x, y) == y or f(y, x) == y
-            le_yx = f(y, x) == x or f(x, y) == x
-            if le_xy and not le_yx:
-                below[y - 1] += 1
-            elif le_yx and not le_xy:
-                below[x - 1] += 1
+    for x, row in enumerate(rows):
+        for y in range(x + 1, n):
+            # f is quasitrivial: an element that wins both ways lies strictly
+            # above the other, a pair that splits is one class
+            if row[y] == rows[y][x]:
+                below[row[y] - 1] += 1
     return below
 
 

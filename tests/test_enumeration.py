@@ -408,3 +408,48 @@ class TestSharding:
         with pytest.raises(ValueError) as info:
             generate(FamilySpec(family, -1))
         assert not isinstance(info.value, CapacityError)
+
+
+# Each stream's input rule: whether it takes a shard (every family stream
+# does), its size cap (None for none) and the family its cap message names,
+# and what n = 0 gives (the message of its ValueError, or the one empty
+# object it yields).
+_WEAK = (WEAK_ORDER_MAX_N, "weak-order")
+_TOTAL = (TOTAL_ORDER_MAX_N, "total-order")
+_OPERATION = (QT_SEMIGROUP_MAX_N, "operation")
+_INPUT_RULES = {
+    "total-orders": (*_TOTAL, "total orders need n >= 1"),
+    "weak-orders": (*_WEAK, [WeakOrder(())]),
+    "single-peaked-total-orders": (*_TOTAL, "total orders need n >= 1"),
+    "weakly-single-peaked-weak-orders": (*_WEAK, "peakedness families need n >= 1"),
+    "qt-semigroups": (*_OPERATION, "operation enumeration needs n >= 1"),
+}
+# a family added to FAMILIES without a row here fails collection
+_STREAMS = {name: (FAMILIES[name][0], True, *_INPUT_RULES[name]) for name in FAMILIES}
+_STREAMS["kimura_decompositions"] = (
+    kimura_decompositions, False, *_OPERATION, "operation enumeration needs n >= 1"
+)
+_STREAMS["rank_vectors"] = (rank_vectors, False, None, None, [()])
+
+
+@pytest.mark.parametrize("name", list(_STREAMS))
+def test_input_rule_precedence(name):
+    # n < 0 first, then the shard, then the size cap, then n = 0; each case
+    # raises when the stream is called, with its exact type and message
+    stream, sharded, cap, what, empty = _STREAMS[name]
+    bad_shard = (5, 2) if sharded else ()
+
+    def raises(kind, message, *args):
+        with pytest.raises(kind) as info:
+            stream(*args)
+        assert (type(info.value), str(info.value)) == (kind, message)
+
+    raises(ValueError, "n must be nonnegative", -1, *bad_shard)
+    if sharded:
+        raises(ValueError, "need 0 <= shard_index < shard_count", cap + 1, *bad_shard)
+    if cap is not None:
+        raises(CapacityError, f"{what} enumeration is limited to n <= {cap}", cap + 1)
+    if isinstance(empty, str):
+        raises(ValueError, empty, 0)
+    else:
+        assert list(stream(0)) == empty
