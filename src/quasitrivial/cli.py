@@ -30,13 +30,7 @@ from .formats import (
 from .magmas import is_order_preserving
 from .orders import TotalOrder
 from .render import FORMATS, render_contour, render_profile
-from .structure import (
-    TableProperties,
-    _decomposition,
-    classify,
-    decompose,
-    exists_monotonizing_order,
-)
+from .structure import TableProperties, classify, decompose, exists_monotonizing_order
 
 # `enumerate` writes its listing this many lines at a time, never whole
 ENUMERATE_CHUNK_LINES = 2048
@@ -112,11 +106,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_check(args) -> int:
     f = load_table(_read_input(args.input))
     reference = _order_flag("--reference", args.reference, f.n)
-    properties = TableProperties.of(f)
-    out = emit_properties(properties, is_order_preserving(f, reference))
+    out = emit_properties(TableProperties.of(f), is_order_preserving(f, reference))
     if args.find_order:
-        # a factorization lists the orderings directly, at any n
-        found = exists_monotonizing_order(f, _decomposition(f, properties))
+        # a decomposable table lists its orderings from its factorization, at any n
+        found = exists_monotonizing_order(f)
         if found is None:
             total = math.factorial(f.n)
             out += f"no order-preserving total ordering exists ({total}/{total} rejected)\n"

@@ -4,14 +4,16 @@ Every such operation factors uniquely as: take a weak ordering, let the
 strictly larger argument win across distinct classes, and fix one projection
 (left or right) inside each class of size >= 2.  `build` goes from the
 factored form to the table, `decompose` recovers it, and the two are mutually
-inverse bijections.
+inverse bijections.  Every built table is associative and quasitrivial, so a
+table has a factorization exactly when the form read off it rebuilds it: this
+O(n^2) test picks the route of `monotonizing_orders`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator, Mapping
 
 from .errors import CapacityError, ConsistencyError, DecompositionError
@@ -184,7 +186,8 @@ def _ranks_from_levels(levels: list[int]) -> WeakOrder:
 
 def _pairwise_levels(f: FiniteBinOp) -> list[int]:
     """For each element, how many elements lie strictly below it, read off
-    pairwise from the rows; f must already be known decomposable."""
+    pairwise from the rows, if f is decomposable.  The counts are made for
+    any table, and `_read` rebuilds from them to find out."""
     rows = f.rows
     n = len(rows)
     below = [0] * n
@@ -221,20 +224,28 @@ def decompose(f: FiniteBinOp) -> KimuraDecomposition:
     return _factor(f)
 
 
-def _factor(f: FiniteBinOp) -> KimuraDecomposition:
-    """`decompose` of an f known associative and quasitrivial: the ordering
-    read pairwise, then by degrees; each fat class's side at its two least
-    elements; then every cell, by building the result."""
+def _read(f: FiniteBinOp) -> KimuraDecomposition:
+    """The factored form read off any table, unchecked: the ordering read
+    pairwise, each fat class's side at its two least elements.  Every built
+    table is associative and quasitrivial, so this rebuilds f exactly when f
+    has a factorization."""
     order = _ranks_from_levels(_pairwise_levels(f))
-    if order != _ranks_from_levels(_degrees(f)):
-        raise ConsistencyError("pairwise and degree-based orderings disagree")
     choices = []
     for rank, block in enumerate(order.classes(), start=1):
         if len(block) > 1:
             a, b = sorted(block)[:2]
             choices.append((rank, LEFT if f(a, b) == a else RIGHT))
     # one side per class of size >= 2, bottom first: valid as made
-    d = KimuraDecomposition._trusted(order, tuple(choices))
+    return KimuraDecomposition._trusted(order, tuple(choices))
+
+
+def _factor(f: FiniteBinOp) -> KimuraDecomposition:
+    """`decompose` of an f known associative and quasitrivial: `_read`, its
+    ordering checked against the degree route, then every cell, by building
+    the result."""
+    d = _read(f)
+    if d.order != _ranks_from_levels(_degrees(f)):
+        raise ConsistencyError("pairwise and degree-based orderings disagree")
     if build(d) != f:
         raise ConsistencyError("the factored form does not rebuild the table")
     return d
@@ -375,29 +386,27 @@ def _factored_listings(d: KimuraDecomposition) -> Iterator[tuple[int, ...]]:
     yield from fall(k + 1)
 
 
-def monotonizing_orders(
-    f: FiniteBinOp, decomposition: KimuraDecomposition | None = None
-) -> Iterator[TotalOrder]:
+def monotonizing_orders(f: FiniteBinOp) -> Iterator[TotalOrder]:
     """All total orderings t with f order-preserving for t, in lexicographic
     order of the element listing.
 
-    Given f's factorization `decomposition`, the orderings are generated from
-    it (`_factored_listings`), at any n; a decomposition that does not build
-    f is a ValueError.  Without it a pruned search over prefixes of the
-    listing (`_pruned_listings`) finds them, capped at
-    n <= MONOTONE_SEARCH_MAX_N.  Either route lists exactly these orderings,
-    and each listing must pass `is_order_preserving`, else ConsistencyError.
+    The route comes from the table.  If the factored form read off f
+    rebuilds it, f is decomposable and the orderings are generated from its
+    factorization (`_factored_listings`), at any n.  Otherwise a pruned
+    search over prefixes of the listing (`_pruned_listings`) finds them,
+    capped at n <= MONOTONE_SEARCH_MAX_N.  Either route lists exactly these
+    orderings, and each listing must pass `is_order_preserving`, else
+    ConsistencyError.
     """
-    if decomposition is None:
-        if f.n > MONOTONE_SEARCH_MAX_N:
-            raise CapacityError(
-                f"monotonizing-order search is limited to n <= {MONOTONE_SEARCH_MAX_N}"
-            )
-        listings = _pruned_listings(f)
-    elif build(decomposition) != f:
-        raise ValueError("the decomposition is not the factorization of the operation")
+    d = _read(f)
+    if build(d) == f:
+        listings = _factored_listings(d)
+    elif f.n > MONOTONE_SEARCH_MAX_N:
+        raise CapacityError(
+            f"monotonizing-order search is limited to n <= {MONOTONE_SEARCH_MAX_N}"
+        )
     else:
-        listings = _factored_listings(decomposition)
+        listings = _pruned_listings(f)
     for listing in listings:
         t = TotalOrder.from_ordered_elements(listing)
         if not is_order_preserving(f, t):
@@ -407,12 +416,10 @@ def monotonizing_orders(
         yield t
 
 
-def exists_monotonizing_order(
-    f: FiniteBinOp, decomposition: KimuraDecomposition | None = None
-) -> TotalOrder | None:
+def exists_monotonizing_order(f: FiniteBinOp) -> TotalOrder | None:
     """Some ordering for which f is order-preserving, or None; the first of
-    `monotonizing_orders(f, decomposition)`."""
-    return next(monotonizing_orders(f, decomposition), None)
+    `monotonizing_orders(f)`."""
+    return next(monotonizing_orders(f), None)
 
 
 @dataclass(frozen=True)
@@ -433,11 +440,6 @@ class TableProperties:
         return cls(f.n, is_associative(f), is_quasitrivial(f), is_commutative(f),
                    is_idempotent(f), neutral_elements(f), annihilator_elements(f),
                    degree_sequence(f))
-
-
-def _decomposition(f: FiniteBinOp, properties: TableProperties) -> KimuraDecomposition | None:
-    """f's factorization if `properties` (of f) show it has one, else None."""
-    return _factor(f) if properties.associative and properties.quasitrivial else None
 
 
 @dataclass(frozen=True)
@@ -465,20 +467,15 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
     if reference.n != n:
         raise ValueError("reference ordering has the wrong cardinality")
     properties = TableProperties.of(f)
-    decomposition = _decomposition(f, properties)
+    decomposition = _factor(f) if properties.associative and properties.quasitrivial else None
     wsp = None
     if decomposition is not None:
         wsp = is_weakly_single_peaked(reference, decomposition.order)
-    monotone = []
-    truncated = False
     try:
-        for t in monotonizing_orders(f, decomposition):
-            if len(monotone) >= MONOTONE_LIST_LIMIT:
-                truncated = True
-                break
-            monotone.append(t)
+        monotone = list(islice(monotonizing_orders(f), MONOTONE_LIST_LIMIT + 1))
+        truncated = len(monotone) > MONOTONE_LIST_LIMIT
     except CapacityError:
-        truncated = True
+        monotone, truncated = [], True
     order_preserving = is_order_preserving(f, reference)
     if wsp is not None and wsp != order_preserving:
         raise ConsistencyError("order preservation and weak single-peakedness disagree")
@@ -491,6 +488,6 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
         ),
         order_preserving_for_reference=order_preserving,
         weakly_single_peaked_for_reference=wsp,
-        monotone_for=tuple(monotone),
+        monotone_for=tuple(monotone[:MONOTONE_LIST_LIMIT]),
         monotone_for_truncated=truncated,
     )

@@ -213,10 +213,6 @@ class TestOperationStream:
             qt_semigroups(10)
         with pytest.raises(CapacityError):
             kimura_decompositions(10)
-        # an empty set is bad input, not a size limit
-        with pytest.raises(ValueError) as info:
-            qt_semigroups(0)
-        assert not isinstance(info.value, CapacityError)
 
     @pytest.mark.parametrize(
         "make",
@@ -402,12 +398,6 @@ class TestSharding:
         for shard_index, shard_count in ((3, 3), (2, 2), (-1, 2), (0, 0)):
             with pytest.raises(ValueError):
                 generate(FamilySpec(family, 3), shard_index, shard_count)
-        over_cap = max(WEAK_ORDER_MAX_N, TOTAL_ORDER_MAX_N, QT_SEMIGROUP_MAX_N) + 1
-        with pytest.raises(CapacityError):
-            generate(FamilySpec(family, over_cap))
-        with pytest.raises(ValueError) as info:
-            generate(FamilySpec(family, -1))
-        assert not isinstance(info.value, CapacityError)
 
 
 # Each stream's input rule: whether it takes a shard (every family stream

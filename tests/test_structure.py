@@ -28,9 +28,8 @@ from quasitrivial import (
 )
 from quasitrivial import structure
 from quasitrivial.enumeration import kimura_decompositions, qt_semigroups
-from quasitrivial.formats import parse_cayley_line
 from quasitrivial.magmas import order_preserving_by_definition
-from quasitrivial.structure import _classes, _rows, monotonizing_orders
+from quasitrivial.structure import _classes, _pruned_listings, _rows, monotonizing_orders
 
 from conftest import (
     all_quasitrivial_tables,
@@ -38,6 +37,22 @@ from conftest import (
     monotonizing_orders_by_filter,
     sampled_decomposition,
 )
+
+
+def as_listings(orders):
+    return [t.ordered_elements() for t in orders]
+
+
+def qt_semigroup_flips(n):
+    """Each qt-semigroup with one off-diagonal cell flipped to its other
+    argument: quasitrivial, and associative or not."""
+    for f in qt_semigroups(n):
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                if x != y:
+                    rows = [list(row) for row in f.rows]
+                    rows[x - 1][y - 1] = x + y - rows[x - 1][y - 1]
+                    yield FiniteBinOp(rows)
 
 
 def decomp(ranks, **sides):
@@ -334,16 +349,14 @@ class TestMonotonizingOrders:
         assert is_quasitrivial(f) and not is_associative(f)
         with pytest.raises(CapacityError):
             exists_monotonizing_order(f)
-        with pytest.raises(CapacityError):
-            exists_monotonizing_order(FiniteBinOp.projection(9, "left"))
-
-    def test_factorization_lifts_the_cap(self):
+        # the table it was flipped from is decomposable, so its orderings
+        # come from its factorization past the cap
         f = FiniteBinOp.projection(9, "left")
-        assert exists_monotonizing_order(f, decompose(f)) == TotalOrder.natural(9)
+        assert exists_monotonizing_order(f) == TotalOrder.natural(9)
 
     def test_factored_route_equals_search(self):
         for f in (f for n in range(1, 6) for f in qt_semigroups(n)):
-            assert list(monotonizing_orders(f, decompose(f))) == list(monotonizing_orders(f)), f.rows
+            assert as_listings(monotonizing_orders(f)) == list(_pruned_listings(f)), f.rows
 
     def test_factored_route_equals_search_first_orders(self):
         # classify lists at most the first 25
@@ -352,8 +365,8 @@ class TestMonotonizingOrders:
         tables += [build(sampled_decomposition(n, rng, thin=i % 2 == 1))
                    for n in (7, 8) for i in range(50)]
         for f in tables:
-            assert list(islice(monotonizing_orders(f, decompose(f)), 25)) == list(
-                islice(monotonizing_orders(f), 25)
+            assert as_listings(islice(monotonizing_orders(f), 25)) == list(
+                islice(_pruned_listings(f), 25)
             ), f.rows
 
     @pytest.mark.parametrize("n", (9, 12))
@@ -366,7 +379,7 @@ class TestMonotonizingOrders:
                 expected = 0
             else:
                 expected = math.factorial(len(classes[0])) * 2 ** (len(classes) - 1)
-            listed = list(islice(monotonizing_orders(f, decompose(f)), 25))
+            listed = list(islice(monotonizing_orders(f), 25))
             assert len(listed) == min(25, expected), f.rows
             listings = [t.ordered_elements() for t in listed]
             assert listings == sorted(set(listings)), f.rows
@@ -375,39 +388,35 @@ class TestMonotonizingOrders:
 
     def test_factored_route_checks_every_order(self, monkeypatch):
         # an order either route lists but the table rejects is a bug, and
-        # the search and the factorization report it alike
-        f = FiniteBinOp.projection(4, "left")
-        d = decompose(f)
+        # the factorization and the search report it alike: the left
+        # projection is decomposable, the constant table is not quasitrivial
+        tables = (FiniteBinOp.projection(4, "left"), FiniteBinOp([[1] * 4] * 4))
+        assert [build(structure._read(f)) == f for f in tables] == [True, False]
         monkeypatch.setattr("quasitrivial.structure.is_order_preserving", lambda f, t: False)
-        for decomposition in (None, d):
+        for f in tables:
             with pytest.raises(ConsistencyError, match=r"^the ordering \(1, 2, 3, 4\) is listed"):
-                exists_monotonizing_order(f, decomposition)
+                exists_monotonizing_order(f)
 
-    def test_factorization_of_another_size_rejected(self):
-        f = FiniteBinOp.projection(4, "left")
-        with pytest.raises(ValueError):
-            exists_monotonizing_order(FiniteBinOp.projection(3, "left"), decompose(f))
+    # family: its tables, how many there are and how many are decomposable
+    ROUTE_FAMILIES = {
+        "tables-n3": (lambda: (f for n in (1, 2, 3) for f in all_tables(n)), 19700, 25),
+        "quasitrivial-n4": (lambda: all_quasitrivial_tables(4), 4096, 138),
+        "qt-semigroup-flips-n5": (lambda: qt_semigroup_flips(5), 23640, 5120),
+    }
 
-    def test_factorization_of_another_table_rejected(self):
-        # the left projection has all 6 orderings; the factorization of
-        # another table would list 4 of them, or fail the order check
-        f = FiniteBinOp.projection(3, "left")
-        other = decompose(parse_cayley_line("cayley 3 : 1 1 3 2 2 3 3 3 3"))
-        assert len(list(monotonizing_orders(f))) == 6
-        with pytest.raises(ValueError, match="not the factorization of the operation"):
-            list(monotonizing_orders(f, other))
-        # every ordered pair of distinct qt-semigroups of one size, n <= 4
-        pairs = 0
-        for n in range(1, 5):
-            tables = list(qt_semigroups(n))
-            factorizations = [decompose(f) for f in tables]
-            for f in tables:
-                for f2, d in zip(tables, factorizations):
-                    if f2 != f:
-                        pairs += 1
-                        with pytest.raises(ValueError):  # not a ConsistencyError
-                            exists_monotonizing_order(f, d)
-        assert pairs == 19298
+    @pytest.mark.parametrize("family", list(ROUTE_FAMILIES))
+    def test_route_is_the_factorization_exactly_when_decomposable(self, family):
+        # `monotonizing_orders` lists from the factorization when the form
+        # read off the table rebuilds it, and that holds exactly for the
+        # associative quasitrivial tables
+        tables, total, decomposable = self.ROUTE_FAMILIES[family]
+        seen = rebuilt = 0
+        for f in tables():
+            route = build(structure._read(f)) == f
+            assert route == (is_quasitrivial(f) and is_associative(f)), f.rows
+            seen += 1
+            rebuilt += route
+        assert (seen, rebuilt) == (total, decomposable)
 
     # the factorial filter is the reference: on every listed table the search
     # yields exactly its orderings, in its order
@@ -419,8 +428,12 @@ class TestMonotonizingOrders:
 
     @pytest.mark.parametrize("family", list(FILTER_FAMILIES))
     def test_search_equals_factorial_filter(self, family):
+        # the search is held to the filter on its own too, since a
+        # decomposable table lists its orderings from its factorization
         for f in self.FILTER_FAMILIES[family]():
-            assert list(monotonizing_orders(f)) == list(monotonizing_orders_by_filter(f)), f.rows
+            expected = list(monotonizing_orders_by_filter(f))
+            assert list(monotonizing_orders(f)) == expected, f.rows
+            assert list(_pruned_listings(f)) == as_listings(expected), f.rows
 
     def test_count_equals_structural_count(self):
         # along an order-preserving t the ranks fall strictly to the bottom
