@@ -94,9 +94,13 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = FamilySpec(args.family, args.n, frozenset(args.filter))
-    # errors in the spec or the shard raise here, before --output is opened
-    emit = getattr(formats, FAMILIES[args.family][2])
-    stream = map(emit, generate(spec, args.shard, args.shards))
+    # errors in the spec or the shard raise here, before --output is opened;
+    # an unfiltered family with a line stream is written from it
+    _, _, emit, lines = FAMILIES[args.family]
+    if lines is not None and not spec.filters:
+        stream = getattr(formats, lines)(spec.n, args.shard, args.shards)
+    else:
+        stream = map(getattr(formats, emit), generate(spec, args.shard, args.shards))
     with _open_output(args.output) as out:
         while chunk := list(islice(stream, ENUMERATE_CHUNK_LINES)):
             out.write("\n".join(chunk) + "\n")

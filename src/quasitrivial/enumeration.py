@@ -21,11 +21,20 @@ holds are the rows read from the bounded per-n row table (`structure._rows`).
 `kimura_decompositions` makes the same one pass per ordering and builds
 its decompositions unchecked.
 
+The unfiltered weak-order and operation listings have line streams in
+`formats`, which read the same two walks as the object streams: the prefix
+batches of `_rank_vector_batches`, cut to the shard by `_weak_order_batches`,
+and the per-ordering blocks of the shard, `_operation_blocks`, which
+`qt_semigroups` reads too.  The shard rule is unchanged (stream index
+congruent to `shard_index` modulo `shard_count`), and the per-object emitter
+over the object stream stays the reference for a line stream's bytes.
+
 Each family is one stream function `(n, shard_index=0, shard_count=1)`,
 restartable by calling it again, and one row of `FAMILIES` with its filters,
-each a predicate of the object alone, and the name of its line emitter.
-A stream checks its input when called, by one call of `_check`, which states
-the order: n < 0, the shard, the size cap, then n = 0 for an empty family.
+each a predicate of the object alone, the name of its line emitter and
+that of its line stream, if it has one.  A stream checks its input when
+called, by one call of `_check`, which states the order: n < 0, the shard,
+the size cap, then n = 0 for an empty family.
 """
 
 from __future__ import annotations
@@ -121,29 +130,33 @@ def rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
     their last positions read from a completion table.
     """
     _check(n)
-    return chain.from_iterable(_rank_vector_batches(n))
+    return chain.from_iterable(
+        [prefix + rest for rest in rests] for prefix, _, rests in _rank_vector_batches(n)
+    )
 
 
-def _rank_vector_batches(n: int, cut=None) -> Iterator[list[tuple[int, ...]]]:
-    """The rank vectors of length n in lexicographic order, one list per
-    prefix the walk stops at.
+def _rank_vector_batches(n: int, cut=None) -> Iterator[tuple[tuple[int, ...], int, list]]:
+    """The rank vectors of length n in lexicographic order, as one batch
+    (prefix, used, rests) per prefix the walk stops at: the vectors
+    ``prefix + rest`` for each rest in rests, `used` the ranks of the prefix
+    as the bits of a mask (bit r for rank r).
 
     Without a cut the walk stops `_TAIL` positions short of n (at once for
     n <= `_TAIL`) and reads every surjective completion of the prefix from a
     table keyed by its set of ranks, which gives the largest rank so far and
     the unused ranks below it.  The table is built as the walk asks for it,
-    once per call.  With a cut the walk runs to full length and drops rank r
-    at a position whenever ``cut(head, r)`` holds for the ranks `head`
-    before it, so its subtree is never expanded.
+    once per call, so within one call equal masks give the same list of
+    rests.  With a cut the walk runs to full length and drops rank r at a
+    position whenever ``cut(head, r)`` holds for the ranks `head` before it,
+    so its subtree is never expanded.
     """
     tail = 0 if cut is not None else min(n, _TAIL)
     depth = n - tail
     table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     if not depth:
-        yield _completions(table, 0, tail)
+        yield (), 0, _completions(table, 0, tail)
         return
-    # the prefixes still to expand, the next one last, each with its ranks
-    # as the bits of a mask (bit r for rank r)
+    # the prefixes still to expand, the next one last, each with its mask
     stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while stack:
         head, used = stack.pop()
@@ -162,7 +175,7 @@ def _rank_vector_batches(n: int, cut=None) -> Iterator[list[tuple[int, ...]]]:
             stack += reversed(kids)
         else:
             for prefix, new in kids:
-                yield [prefix + rest for rest in _completions(table, new, tail)]
+                yield prefix, new, _completions(table, new, tail)
 
 
 def _completions(table: dict, used: int, t: int) -> list[tuple[int, ...]]:
@@ -210,7 +223,10 @@ def _peaked_walk(n: int, cut, make) -> Iterator[WeakOrder]:
     """The orderings of the walk pruned by `cut`, each made by `make` and
     held to `is_weakly_single_peaked` for 1 < ... < n."""
     ref = _natural(n)
-    for ranks in chain.from_iterable(_rank_vector_batches(n, cut)):
+    # the walk runs to full length, so each batch holds its prefix or nothing
+    for ranks, _, rests in _rank_vector_batches(n, cut):
+        if not rests:
+            continue
         order = make(ranks)
         if not is_weakly_single_peaked(ref, order):
             raise ConsistencyError(f"the pruned walk kept {ranks}, not weakly single-peaked")
@@ -224,6 +240,26 @@ def weak_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[
     # `rank_vectors` yields only surjective ones
     vectors = islice(rank_vectors(n), shard_index, None, shard_count)
     return map(WeakOrder._trusted, vectors)
+
+
+def _weak_order_batches(n: int, shard_index: int = 0, shard_count: int = 1):
+    """The batches of `_rank_vector_batches(n)` that hold weak orderings of
+    the shard, as (prefix, used, rests, held): `rests[held]` are the rests
+    of the shard's vectors, those whose stream index is congruent to
+    `shard_index` modulo `shard_count`.  Checks its input when called."""
+    _check(n, shard_index, shard_count, WEAK_ORDER_MAX_N, "weak-order")
+    return _held_batches(n, shard_index, shard_count)
+
+
+def _held_batches(n: int, shard_index: int, shard_count: int):
+    # the vectors of one batch hold stream indices [start, start + size)
+    start = 0
+    for prefix, used, rests in _rank_vector_batches(n):
+        size = len(rests)
+        first = (shard_index - start) % shard_count
+        start += size
+        if first < size:
+            yield prefix, used, rests, slice(first, None, shard_count)
 
 
 def total_orders(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[TotalOrder]:
@@ -285,49 +321,69 @@ def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterato
     in the order of `kimura_decompositions`.  A shard builds only the tables
     whose stream index is congruent to `shard_index` modulo `shard_count`.
     """
+    return _qt_semigroups(_operation_blocks(n, shard_index, shard_count))
+
+
+def _operation_blocks(n: int, shard_index: int = 0, shard_count: int = 1):
+    """The blocks of the operations on {1..n}, one per weak ordering that
+    holds tables of the shard, as (ranks, fat, at_least, sides): the
+    ordering's rank vector, its pass by `_classes` (fat ranks bottom first,
+    winner masks) and the entries of `_sides` of the shard's tables, in
+    stream order.  Row x of the table of one entry is row x of `_rows` under
+    the right projection if the entry's side for x's class is 1, else under
+    the left.  Checks its input when called."""
     _check(n, shard_index, shard_count, QT_SEMIGROUP_MAX_N, "operation",
            "operation enumeration needs n >= 1")
-    return _qt_semigroups(n, shard_index, shard_count)
+    return _held_blocks(n, shard_index, shard_count)
 
 
-def _qt_semigroups(n: int, shard_index: int, shard_count: int) -> Iterator[FiniteBinOp]:
-    # the rows come from `_rows`, so every table is valid as built
-    make = FiniteBinOp._trusted
+def _held_blocks(n: int, shard_index: int, shard_count: int):
     # the tables of one ordering hold stream indices [start, start + 2^m), m
     # its number of fat classes; a block with none of the shard's is skipped
     start = 0
+    # `_sides(m)` for every m an ordering can have, read without a cache call
+    sides_of = [_sides(m) for m in range(n // 2 + 1)]
     for ranks in rank_vectors(n):
         fat, at_least = _classes(ranks)
         m = len(fat)
         size = 1 << m
         first = (shard_index - start) % shard_count
         start += size
-        if first >= size:
-            continue
+        if first < size:
+            yield ranks, fat, at_least, sides_of[m][first::shard_count]
+
+
+def _qt_semigroups(blocks) -> Iterator[FiniteBinOp]:
+    # the rows come from `_rows`, so every table is valid as built
+    make = FiniteBinOp._trusted
+    for ranks, fat, at_least, sides in blocks:
         lefts, rights = _rows(ranks, at_least)
-        if m < 2:
+        if len(fat) < 2:
             # no fat class: one table, all left rows; one: left, then right
-            for rows in (lefts, rights)[first:size:shard_count]:
-                yield make(rows)
+            for s in sides:
+                yield make((lefts, rights)[s[0]])
             continue
         # row x of each table is one of x's pair, picked by the side of x's
         # class; a singleton reads the trailing 0, its pair one row twice
         slot = {rank: j for j, rank in enumerate(fat)}
         keyed = [(pair, slot.get(r, -1)) for pair, r in zip(zip(lefts, rights), ranks)]
-        for sides in _sides(m)[first::shard_count]:
-            yield make(tuple([pair[sides[j]] for pair, j in keyed]))
+        for s in sides:
+            yield make(tuple([pair[s[j]] for pair, j in keyed]))
 
 
-# Each family's stream, the filters that apply to its objects, and the name
-# of the `formats` function that writes one object as one line (a name, looked
-# up per run, so a wrapper installed in `formats` after import is the one
-# called).  `FamilySpec`, `generate` and the command line all read this table.
+# Each family's stream, the filters that apply to its objects, the name of
+# the `formats` function that writes one object as one line, and the name of
+# the `formats` line stream that writes the whole unfiltered stream, or None
+# (names, looked up per run, so a wrapper installed in `formats` after import
+# is the one called).  `FamilySpec`, `generate` and the command line all read
+# this table.
 FAMILIES = {
-    "total-orders": (total_orders, ORDER_FILTERS, "emit_total_order"),
-    "weak-orders": (weak_orders, ORDER_FILTERS, "emit_weak_order"),
-    "single-peaked-total-orders": (_peaked_total_orders, ORDER_FILTERS, "emit_total_order"),
-    "weakly-single-peaked-weak-orders": (_peaked_weak_orders, ORDER_FILTERS, "emit_weak_order"),
-    "qt-semigroups": (qt_semigroups, OPERATION_FILTERS, "emit_cayley_line"),
+    "total-orders": (total_orders, ORDER_FILTERS, "emit_total_order", None),
+    "weak-orders": (weak_orders, ORDER_FILTERS, "emit_weak_order", "weak_order_lines"),
+    "single-peaked-total-orders": (_peaked_total_orders, ORDER_FILTERS, "emit_total_order", None),
+    "weakly-single-peaked-weak-orders": (
+        _peaked_weak_orders, ORDER_FILTERS, "emit_weak_order", None),
+    "qt-semigroups": (qt_semigroups, OPERATION_FILTERS, "emit_cayley_line", "cayley_lines"),
 }
 
 
@@ -361,7 +417,7 @@ def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):
     test.  The stream checks its input when called, so bad input raises here,
     before the first object is asked for.
     """
-    stream, table, _ = FAMILIES[spec.family]
+    stream, table, *_ = FAMILIES[spec.family]
     base = stream(spec.n, shard_index, shard_count)
     if not spec.filters:
         return base

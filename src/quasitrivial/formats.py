@@ -16,6 +16,13 @@ One-line variants, used one object per line by the enumeration output:
 Every n is at least 1, except on a `weakorder` line: `weakorder 0 : ` is the
 one weak ordering of the empty set.
 
+The unfiltered `weak-orders` and `qt-semigroups` listings are written by line
+streams, `weak_order_lines` and `cayley_lines`, which make no object: they
+read the walks of `enumeration`, shard as its object streams do, and make
+each piece of text once per walk step.  Their lines are those of
+`emit_weak_order` and `emit_cayley_line` over the object streams, the
+reference they are tested against.
+
 A profile file, read by `parse_profile`, is one `weakorder` line and at most
 one `totalorder` line, in either order; blank lines are allowed, nothing else.
 
@@ -28,12 +35,16 @@ form.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import chain
+from operator import itemgetter, mul
+from typing import Iterator
 
+from .enumeration import _operation_blocks, _weak_order_batches
 from .errors import ParseError
 from .magmas import FiniteBinOp
 from .orders import TotalOrder, WeakOrder
-from .structure import ClassificationReport, TableProperties
+from .structure import ClassificationReport, TableProperties, _row_table, _rows
 
 _TOKEN = re.compile(r"\S+")
 
@@ -134,6 +145,45 @@ def emit_cayley_line(f: FiniteBinOp) -> str:
     return f"cayley {len(f.rows)} : " + " ".join(map(_row_text, f.rows))
 
 
+def cayley_lines(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[str]:
+    """The lines of `emit_cayley_line` over `qt_semigroups(n, shard_index,
+    shard_count)`, in order, made with no `FiniteBinOp`: the texts of each
+    ordering's left and right rows read once per ordering, then one join per
+    table of the texts its sides pick.  Checks its input when called."""
+    blocks = _operation_blocks(n, shard_index, shard_count)
+    return chain.from_iterable(_cayley_line_blocks(n, blocks))
+
+
+@cache
+def _row_texts(n: int) -> tuple[tuple[str, ...], ...]:
+    # the text of each row of the row table, at the same index
+    return tuple(tuple(map(_row_text, rows)) for rows in _row_table(n))
+
+
+@cache
+def _pickers(n: int) -> tuple[itemgetter, ...]:
+    """At each mask of elements (bit x - 1 for x), the getter of the words of
+    a line from (header, left row texts, right row texts): x's right row
+    text if x is in the mask, else its left one."""
+    return tuple(
+        itemgetter(0, *[x + n * (right >> (x - 1) & 1) for x in range(1, n + 1)])
+        for right in range(1 << n)
+    )
+
+
+def _cayley_line_blocks(n: int, blocks) -> Iterator[list[str]]:
+    head = f"cayley {n} :"
+    texts, pick = _row_texts(n), _pickers(n)
+    for ranks, fat, at_least, sides in blocks:
+        # the members of each fat class as a mask; a table's sides (0 or 1
+        # per class, then the trailing 0) weigh them to the mask of the
+        # elements whose right row it holds
+        members = [at_least[r] ^ at_least[r + 1] for r in fat]
+        lefts, rights = _rows(ranks, at_least, texts)
+        words = (head, *lefts, *rights)
+        yield [" ".join(pick[sum(map(mul, members, s))](words)) for s in sides]
+
+
 def load_table(text: str) -> FiniteBinOp:
     """Accept either table form (one-line if the first line carries a ':')."""
     stripped = text.lstrip()
@@ -158,6 +208,28 @@ def _weak_order_format(n: int) -> str:
 
 def emit_weak_order(w: WeakOrder) -> str:
     return _weak_order_format(len(w.ranks)) % w.ranks
+
+
+def weak_order_lines(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[str]:
+    """The lines of `emit_weak_order` over `weak_orders(n, shard_index,
+    shard_count)`, in order, made with no `WeakOrder`: the text of each
+    prefix of the walk once per batch, that of each completion once per
+    call.  Checks its input when called."""
+    return chain.from_iterable(_weak_order_line_batches(
+        n, _weak_order_batches(n, shard_index, shard_count)))
+
+
+def _weak_order_line_batches(n: int, batches) -> Iterator[Iterator[str]]:
+    lead = f"weakorder {n} : "
+    # the texts of each list of completions, keyed by its prefix's mask: one
+    # mask gives one list within a walk
+    tails: dict[int, list[str]] = {}
+    for prefix, used, rests, held in batches:
+        texts = tails.get(used)
+        if texts is None:
+            texts = tails[used] = [" ".join(map(str, rest)) for rest in rests]
+        head = lead + "".join([f"{r} " for r in prefix])
+        yield map(head.__add__, texts[held])
 
 
 def _listing(text: str, tokens: list[str], start: int, n: int) -> TotalOrder:

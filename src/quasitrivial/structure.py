@@ -140,21 +140,25 @@ def _classes(ranks: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return fat, at_least
 
 
-def _rows(ranks: tuple[int, ...], at_least: list[int]):
+def _rows(ranks: tuple[int, ...], at_least: list[int], table=None):
     """Row x of every table with this weak ordering, for each x, under a left
     and under a right projection of x's class, as two tuples.
 
     Across distinct classes the strictly larger argument wins: the left row
     of x is y for y of rank > rank(x), the right row also for the rest of
-    x's class, else x.  Both are read from the row table at these winner
-    masks, so for a singleton class they are one tuple (equal tuples past
-    ROW_TABLE_MAX_N, where each row is made from the rule).
+    x's class, else x.  Both are read at these winner masks from `table`,
+    indexed like `_row_table(n)` (the text of each row, say), or from the
+    row table itself if None, so for a singleton class they are one entry.
+    Past ROW_TABLE_MAX_N, with no table, each row is made from the rule.
     """
     n = len(ranks)
-    if n > ROW_TABLE_MAX_N:
-        return (tuple([_projection_row(n, x, at_least[r + 1]) for x, r in enumerate(ranks, 1)]),
-                tuple([_projection_row(n, x, at_least[r]) for x, r in enumerate(ranks, 1)]))
-    table = _row_table(n)
+    if table is None:
+        if n > ROW_TABLE_MAX_N:
+            return (
+                tuple([_projection_row(n, x, at_least[r + 1]) for x, r in enumerate(ranks, 1)]),
+                tuple([_projection_row(n, x, at_least[r]) for x, r in enumerate(ranks, 1)]),
+            )
+        table = _row_table(n)
     lefts = tuple([rows[at_least[r + 1]] for rows, r in zip(table, ranks)])
     rights = tuple([rows[at_least[r]] for rows, r in zip(table, ranks)])
     return lefts, rights
@@ -399,7 +403,13 @@ def monotonizing_orders(f: FiniteBinOp) -> Iterator[TotalOrder]:
     ConsistencyError.
     """
     d = _read(f)
-    if build(d) == f:
+    yield from _monotone_listing(f, d if build(d) == f else None)
+
+
+def _monotone_listing(f: FiniteBinOp, d: KimuraDecomposition | None) -> Iterator[TotalOrder]:
+    """`monotonizing_orders(f)` given the factorization d of f, or None if f
+    has none."""
+    if d is not None:
         listings = _factored_listings(d)
     elif f.n > MONOTONE_SEARCH_MAX_N:
         raise CapacityError(
@@ -472,7 +482,8 @@ def classify(f: FiniteBinOp, reference: TotalOrder | None = None) -> Classificat
     if decomposition is not None:
         wsp = is_weakly_single_peaked(reference, decomposition.order)
     try:
-        monotone = list(islice(monotonizing_orders(f), MONOTONE_LIST_LIMIT + 1))
+        # the factorization found above picks the route, so f is built once
+        monotone = list(islice(_monotone_listing(f, decomposition), MONOTONE_LIST_LIMIT + 1))
         truncated = len(monotone) > MONOTONE_LIST_LIMIT
     except CapacityError:
         monotone, truncated = [], True

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quasitrivial import cli, enumeration, structure
+from quasitrivial import cli, enumeration, formats, structure
 from quasitrivial.enumeration import FAMILIES
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -74,26 +74,49 @@ LINES_AT_3 = {
     "weakly-single-peaked-weak-orders": 8,
     "qt-semigroups": 20,
 }
+# the runs at n = 3 that write one object at a time, with their line counts:
+# every family without a line stream, and filtered runs of those with one
+EMIT_RUNS = {
+    **{(family,): LINES_AT_3[family] for family, row in FAMILIES.items() if row[3] is None},
+    ("weak-orders", "--filter", "unique-min"): 9,
+    ("qt-semigroups", "--filter", "commutative"): 6,
+}
 
 
-@pytest.mark.parametrize(
-    "family,emitter", [(family, f"formats.{row[2]}") for family, row in FAMILIES.items()]
-)
-def test_every_emitted_line_is_one_traced_emit(tracer, capsys, family, emitter):
+@pytest.mark.parametrize("run", list(EMIT_RUNS), ids=" ".join)
+def test_every_emitted_line_is_one_traced_emit(tracer, capsys, run):
     # `cli` looks the family's emitter up in `formats` by name for each run
     # and calls it once per object; an emitter held in the table, bound at
     # import or inlined would hide from a trace
+    family, *filters = run
     tr = tracer.Tracer()
     tr.install()
     try:
-        code = cli.main(["enumerate", family, "--n", "3"])
+        code = cli.main(["enumerate", family, "--n", "3", *filters])
         calls = tracer.reduce(tr.names, tr.take())["names"]
     finally:
         tr.uninstall()
     assert code == 0
     lines = capsys.readouterr().out.count("\n")
-    assert lines == LINES_AT_3[family]
-    assert calls.get(emitter, {}).get("calls", 0) == lines
+    assert lines == EMIT_RUNS[run]
+    assert calls.get(f"formats.{FAMILIES[family][2]}", {}).get("calls", 0) == lines
+
+
+@pytest.mark.parametrize("family", [family for family, row in FAMILIES.items() if row[3]])
+def test_unfiltered_run_is_one_call_of_its_line_stream(monkeypatch, capsys, family):
+    # an unfiltered run looks its line stream up in `formats` by name once
+    # per run, so a wrapper installed after import sees the call
+    name = FAMILIES[family][3]
+    calls = []
+
+    def counted(*args, _fn=getattr(formats, name)):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(formats, name, counted)
+    assert cli.main(["enumerate", family, "--n", "3", "--shards", "2", "--shard", "1"]) == 0
+    assert capsys.readouterr().out.count("\n") == LINES_AT_3[family] // 2
+    assert calls == [(3, 1, 2)]
 
 
 def test_bruteforce_route_is_one_traced_search(tracer, capsys):

@@ -16,7 +16,7 @@ from quasitrivial import (
     is_quasitrivial,
     neutral_elements,
 )
-from quasitrivial import enumeration
+from quasitrivial import enumeration, formats
 from quasitrivial.counting import ordered_bell, q_recurrence, v_recurrence
 from quasitrivial.enumeration import (
     FAMILIES,
@@ -141,11 +141,16 @@ class TestCompletionTable:
         # each batch holds the vectors of one prefix that stops short of the
         # table's length, so the batches split the stream at prefix changes
         depth = 6 - enumeration._TAIL
-        batches = list(enumeration._rank_vector_batches(6))
-        assert [v for batch in batches for v in batch] == list(rank_vectors(6))
-        heads = [{v[:depth] for v in batch} for batch in batches]
-        assert all(len(head) == 1 for head in heads)
+        batches = [
+            (prefix, used, [prefix + rest for rest in rests])
+            for prefix, used, rests in enumeration._rank_vector_batches(6)
+        ]
+        assert [v for _, _, batch in batches for v in batch] == list(rank_vectors(6))
+        heads = [{v[:depth] for v in batch} for _, _, batch in batches]
+        assert all(head == {prefix} for head, (prefix, _, _) in zip(heads, batches))
         assert len(set().union(*heads)) == len(batches)
+        # the mask holds the ranks of the prefix, bit r for rank r
+        assert all(used == sum({1 << r for r in prefix}) for prefix, used, _ in batches)
 
 
 class TestTotalOrderStream:
@@ -279,7 +284,7 @@ class TestCountsAgainstFormulas:
 def test_filters_are_predicates_of_the_object(family):
     # `generate` keeps exactly the objects every named predicate, called on
     # the object alone, accepts
-    stream, filters, _ = FAMILIES[family]
+    stream, filters, *_ = FAMILIES[family]
     for name, test in filters.items():
         spec = FamilySpec(family, 4, frozenset({name}))
         assert list(generate(spec)) == [obj for obj in stream(4) if test(obj)]
@@ -420,6 +425,14 @@ _STREAMS["kimura_decompositions"] = (
     kimura_decompositions, False, *_OPERATION, "operation enumeration needs n >= 1"
 )
 _STREAMS["rank_vectors"] = (rank_vectors, False, None, None, [()])
+# a family's line stream raises as its object stream does; `weakorder 0 : `
+# is the one line of the empty set
+_STREAMS["formats.weak_order_lines"] = (
+    formats.weak_order_lines, True, *_WEAK, ["weakorder 0 : "]
+)
+_STREAMS["formats.cayley_lines"] = (
+    formats.cayley_lines, True, *_OPERATION, "operation enumeration needs n >= 1"
+)
 
 
 @pytest.mark.parametrize("name", list(_STREAMS))

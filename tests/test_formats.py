@@ -167,11 +167,33 @@ PARSERS = {
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_every_emitted_line_parses_back(family):
     # weak-orders alone has an object at n = 0: `weakorder 0 : `
-    _, _, emitter = FAMILIES[family]
+    emitter = FAMILIES[family][2]
     emit, parse = getattr(formats, emitter), PARSERS[emitter]
     for n in range(0 if family == "weak-orders" else 1, 5):
         for obj in generate(FamilySpec(family, n)):
             assert parse(emit(obj)) == obj
+
+
+# The sizes at which each line stream is held to its reference: every shard
+# of each K up to the first n, the serial stream up to the second
+LINE_STREAM_SIZES = {
+    "weak-orders": ((1, 2, 3, 7), 7, 8),
+    "qt-semigroups": ((1, 2, 3, 4, 7), 6, 7),
+}
+
+
+@pytest.mark.parametrize("family", [family for family, row in FAMILIES.items() if row[3]])
+def test_line_stream_equals_emitted_objects(family):
+    # the per-object emitter over the object stream is the reference
+    stream, _, emitter, lines = FAMILIES[family]
+    emit, line_stream = getattr(formats, emitter), getattr(formats, lines)
+    shard_counts, sharded_up_to, serial_up_to = LINE_STREAM_SIZES[family]
+    least = 0 if family == "weak-orders" else 1
+    for n in range(least, serial_up_to + 1):
+        for shard_count in shard_counts if n <= sharded_up_to else (1,):
+            for shard_index in range(shard_count):
+                expected = list(map(emit, stream(n, shard_index, shard_count)))
+                assert list(line_stream(n, shard_index, shard_count)) == expected
 
 
 class TestClassificationRecord:

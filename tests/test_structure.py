@@ -509,6 +509,21 @@ class TestClassify:
             assert sorted(calls) == ["is_associative", "is_quasitrivial"]
         assert report.max_of_total_order is not None
 
+    def test_decomposable_table_built_once(self, monkeypatch):
+        # the factorization's rebuild check also picks the route of the
+        # monotonizing orders, so the table is not read and built again
+        calls = []
+
+        def counted(d, _fn=structure.build):
+            calls.append(d)
+            return _fn(d)
+
+        monkeypatch.setattr(structure, "build", counted)
+        f = counted(sampled_decomposition(8, random.Random(8)))
+        calls.clear()
+        report = classify(f)
+        assert calls == [report.decomposition] and report.decomposition is not None
+
     def test_report_internal_consistency_sweep(self):
         import random
 
