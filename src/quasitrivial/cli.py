@@ -95,10 +95,10 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     spec = FamilySpec(args.family, args.n, frozenset(args.filter))
     # errors in the spec or the shard raise here, before --output is opened;
-    # an unfiltered family with a line stream is written from it
+    # a family with a line stream is written from it, filtered or not
     _, _, emit, lines = FAMILIES[args.family]
-    if lines is not None and not spec.filters:
-        stream = getattr(formats, lines)(spec.n, args.shard, args.shards)
+    if lines is not None:
+        stream = getattr(formats, lines)(spec.n, args.shard, args.shards, spec.filters)
     else:
         stream = map(getattr(formats, emit), generate(spec, args.shard, args.shards))
     with _open_output(args.output) as out:

@@ -18,23 +18,29 @@ The operation stream walks the rank vectors themselves and makes no
 `WeakOrder`: one pass over a vector (`structure._classes`) finds its fat
 classes and winner masks, and only for an ordering whose tables the shard
 holds are the rows read from the bounded per-n row table (`structure._rows`).
-`kimura_decompositions` makes the same one pass per ordering and builds
-its decompositions unchecked.
+`kimura_decompositions` reads the same blocks and builds its
+decompositions unchecked.
 
-The unfiltered weak-order and operation listings have line streams in
-`formats`, which read the same two walks as the object streams: the prefix
-batches of `_rank_vector_batches`, cut to the shard by `_weak_order_batches`,
-and the per-ordering blocks of the shard, `_operation_blocks`, which
-`qt_semigroups` reads too.  The shard rule is unchanged (stream index
-congruent to `shard_index` modulo `shard_count`), and the per-object emitter
-over the object stream stays the reference for a line stream's bytes.
+The weak-order and operation listings, filtered or not, have line streams
+in `formats`, which read the same two walks as the object streams: the
+prefix batches of `_rank_vector_batches`, cut to the shard by
+`_weak_order_batches`, and the per-ordering blocks of the shard,
+`_operation_blocks`, which `qt_semigroups` and `kimura_decompositions` read
+too.  The shard rule is unchanged (stream index congruent to `shard_index`
+modulo `shard_count`, filtered afterwards), and the per-object emitter over
+the filtered object stream stays the reference for a line stream's bytes.
+A line stream filters by `RANK_VERDICTS`, one predicate of a rank vector per
+filter name: for weak orderings the definitions, for operations the paper's
+characterizations, one verdict for every table of an ordering.
 
 Each family is one stream function `(n, shard_index=0, shard_count=1)`,
 restartable by calling it again, and one row of `FAMILIES` with its filters,
-each a predicate of the object alone, the name of its line emitter and
-that of its line stream, if it has one.  A stream checks its input when
-called, by one call of `_check`, which states the order: n < 0, the shard,
-the size cap, then n = 0 for an empty family.
+each a predicate of the object alone that `generate` and `count` call on
+every object, the name of its line emitter and that of its line stream, if
+it has one.  A stream checks its input when called, by one call of
+`_check`, which states the order: n < 0, the shard, the size cap, then
+n = 0 for an empty family.  A line stream checks its filters first, by the
+rule of `FamilySpec`, `_check_filters`.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, islice, permutations, product
+from operator import getitem
 from typing import Iterator
 
 from .errors import CapacityError, ConsistencyError
@@ -52,7 +59,7 @@ from .magmas import (
     is_order_preserving,
     neutral_elements,
 )
-from .orders import TotalOrder, WeakOrder, is_weakly_single_peaked
+from .orders import TotalOrder, WeakOrder, _peaked, is_weakly_single_peaked
 from .structure import (
     LEFT,
     RIGHT,
@@ -98,6 +105,56 @@ OPERATION_FILTERS = {
     "neutral-and-annihilator-distinct": _neutral_and_annihilator_distinct,
     "commutative": lambda f: is_commutative(f),
     "monotone-for-reference": lambda f: is_order_preserving(f, _natural(f.n)),
+}
+
+
+# The verdicts of the filters of the two families with a line stream, each a
+# predicate of a rank vector.  On a weak ordering each is the definition of
+# its filter.  On an associative quasitrivial operation each is one of the
+# paper's characterizations by its weak ordering, named in the docstring, so
+# every table of one ordering gets the same verdict.  `generate` and `count`
+# still test each object by its definition.
+
+
+def _bottom_held_once(ranks: tuple[int, ...]) -> bool:
+    """Rank 1 is held once: a unique minimum; an operation has a neutral
+    element iff the bottom class of its ordering is a singleton."""
+    return ranks.count(1) == 1
+
+
+def _top_held_once(ranks: tuple[int, ...]) -> bool:
+    """The top rank is held once: a unique maximum; an operation has an
+    annihilator iff the top class of its ordering is a singleton."""
+    return ranks.count(max(ranks, default=0)) == 1
+
+
+def _ends_held_once_and_distinct(ranks: tuple[int, ...]) -> bool:
+    """Both of the above, and the top rank is above 1: the neutral element
+    and the annihilator are the bottom and the top singleton."""
+    top = max(ranks, default=0)
+    return top > 1 and ranks.count(1) == 1 and ranks.count(top) == 1
+
+
+def _every_rank_held_once(ranks: tuple[int, ...]) -> bool:
+    """An operation is commutative iff its ordering is total."""
+    return max(ranks, default=0) == len(ranks)
+
+
+def _peaked_for_natural(ranks: tuple[int, ...]) -> bool:
+    """An operation is order-preserving for 1 < ... < n iff its ordering is
+    weakly single-peaked for it; no `WeakOrder` is made."""
+    return _peaked(_natural(len(ranks)), ranks)
+
+
+RANK_VERDICTS = {
+    "unique-min": _bottom_held_once,
+    "unique-max": _top_held_once,
+    "unique-min-and-max-distinct": _ends_held_once_and_distinct,
+    "neutral": _bottom_held_once,
+    "annihilator": _top_held_once,
+    "neutral-and-annihilator-distinct": _ends_held_once_and_distinct,
+    "commutative": _every_rank_held_once,
+    "monotone-for-reference": _peaked_for_natural,
 }
 
 
@@ -302,17 +359,19 @@ def _sides(m: int) -> tuple[tuple[int, ...], ...]:
 
 def kimura_decompositions(n: int) -> Iterator[KimuraDecomposition]:
     """All factored forms on {1..n}, in the stream order of the module."""
-    _check(n, cap=QT_SEMIGROUP_MAX_N, what="operation", empty="operation enumeration needs n >= 1")
-    # one pass per ordering finds its fat ranks, so each decomposition is
-    # valid as made and made unchecked; `zip` drops the trailing 0 of a side
+    return _decompositions(_operation_blocks(n))
+
+
+def _decompositions(blocks) -> Iterator[KimuraDecomposition]:
+    # each block holds the fat ranks of its ordering, so each decomposition
+    # is valid as made and made unchecked.  The choices of one block share
+    # its (rank, side) pairs; `map` stops at the trailing 0 of a side
     make = KimuraDecomposition._trusted
-    side = (LEFT, RIGHT)
-    return (
-        make(order, tuple([(r, side[s]) for r, s in zip(fat, sides)]))
-        for order in map(WeakOrder._trusted, rank_vectors(n))
-        for fat in [_classes(order.ranks)[0]]
-        for sides in _sides(len(fat))
-    )
+    for ranks, fat, _, held in blocks:
+        order = WeakOrder._trusted(ranks)
+        pairs = [((r, LEFT), (r, RIGHT)) for r in fat]
+        for sides in held:
+            yield make(order, tuple(map(getitem, pairs, sides)))
 
 
 def qt_semigroups(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[FiniteBinOp]:
@@ -387,6 +446,25 @@ FAMILIES = {
 }
 
 
+def _check_filters(family: str, filters) -> None:
+    """The filter rule of `FamilySpec`: a ValueError naming the filters that
+    do not apply to `family`."""
+    bad = frozenset(filters).difference(FAMILIES[family][1])
+    if bad:
+        raise ValueError(f"filters {sorted(bad)} do not apply to {family}")
+
+
+def _verdict(family: str, filters):
+    """The predicate of a rank vector that passes `filters`' verdicts in
+    `RANK_VERDICTS`, or None for no filter.  Checks the filters first, by
+    the rule of `FamilySpec`."""
+    _check_filters(family, filters)
+    tests = [RANK_VERDICTS[name] for name in sorted(filters)]
+    if len(tests) < 2:
+        return tests[0] if tests else None
+    return lambda ranks: all(test(ranks) for test in tests)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Names one of the enumerable populations, plus optional filters."""
@@ -399,9 +477,7 @@ class FamilySpec:
         object.__setattr__(self, "filters", frozenset(self.filters))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        bad = self.filters.difference(FAMILIES[self.family][1])
-        if bad:
-            raise ValueError(f"filters {sorted(bad)} do not apply to {self.family}")
+        _check_filters(self.family, self.filters)
 
 
 def generate(spec: FamilySpec, shard_index: int = 0, shard_count: int = 1):

@@ -16,11 +16,14 @@ One-line variants, used one object per line by the enumeration output:
 Every n is at least 1, except on a `weakorder` line: `weakorder 0 : ` is the
 one weak ordering of the empty set.
 
-The unfiltered `weak-orders` and `qt-semigroups` listings are written by line
-streams, `weak_order_lines` and `cayley_lines`, which make no object: they
-read the walks of `enumeration`, shard as its object streams do, and make
-each piece of text once per walk step.  Their lines are those of
-`emit_weak_order` and `emit_cayley_line` over the object streams, the
+The `weak-orders` and `qt-semigroups` listings, filtered or not, are written
+by line streams, `weak_order_lines` and `cayley_lines`, which make no object:
+they read the walks of `enumeration`, shard as its object streams do, and
+make each piece of text once per walk step.  A filter is tested once per
+rank vector by its verdict in `enumeration.RANK_VERDICTS`, after the shard
+rule: once per weak ordering, and once per ordering for all of its
+operations.  Their lines are those of `emit_weak_order` and
+`emit_cayley_line` over the filtered object streams of `generate`, the
 reference they are tested against.
 
 A profile file, read by `parse_profile`, is one `weakorder` line and at most
@@ -40,7 +43,7 @@ from itertools import chain
 from operator import itemgetter, mul
 from typing import Iterator
 
-from .enumeration import _operation_blocks, _weak_order_batches
+from .enumeration import _operation_blocks, _verdict, _weak_order_batches
 from .errors import ParseError
 from .magmas import FiniteBinOp
 from .orders import TotalOrder, WeakOrder
@@ -145,12 +148,19 @@ def emit_cayley_line(f: FiniteBinOp) -> str:
     return f"cayley {len(f.rows)} : " + " ".join(map(_row_text, f.rows))
 
 
-def cayley_lines(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[str]:
-    """The lines of `emit_cayley_line` over `qt_semigroups(n, shard_index,
-    shard_count)`, in order, made with no `FiniteBinOp`: the texts of each
-    ordering's left and right rows read once per ordering, then one join per
-    table of the texts its sides pick.  Checks its input when called."""
+def cayley_lines(n: int, shard_index: int = 0, shard_count: int = 1,
+                 filters=()) -> Iterator[str]:
+    """The lines of `emit_cayley_line` over `generate(FamilySpec(
+    "qt-semigroups", n, filters), shard_index, shard_count)`, in order, made
+    with no `FiniteBinOp`: the texts of each ordering's left and right rows
+    read once per ordering, then one join per table of the texts its sides
+    pick.  A filter drops the blocks of the shard whose ordering fails its
+    verdict in `RANK_VERDICTS`, one test per ordering.  Checks its input when
+    called, the filters first."""
+    keep = _verdict("qt-semigroups", filters)
     blocks = _operation_blocks(n, shard_index, shard_count)
+    if keep is not None:
+        blocks = (block for block in blocks if keep(block[0]))
     return chain.from_iterable(_cayley_line_blocks(n, blocks))
 
 
@@ -210,16 +220,20 @@ def emit_weak_order(w: WeakOrder) -> str:
     return _weak_order_format(len(w.ranks)) % w.ranks
 
 
-def weak_order_lines(n: int, shard_index: int = 0, shard_count: int = 1) -> Iterator[str]:
-    """The lines of `emit_weak_order` over `weak_orders(n, shard_index,
-    shard_count)`, in order, made with no `WeakOrder`: the text of each
-    prefix of the walk once per batch, that of each completion once per
-    call.  Checks its input when called."""
+def weak_order_lines(n: int, shard_index: int = 0, shard_count: int = 1,
+                     filters=()) -> Iterator[str]:
+    """The lines of `emit_weak_order` over `generate(FamilySpec(
+    "weak-orders", n, filters), shard_index, shard_count)`, in order, made
+    with no `WeakOrder`: the text of each prefix of the walk once per batch,
+    that of each completion once per call.  A filter tests each vector of
+    the shard by its verdict in `RANK_VERDICTS`.  Checks its input when
+    called, the filters first."""
+    keep = _verdict("weak-orders", filters)
     return chain.from_iterable(_weak_order_line_batches(
-        n, _weak_order_batches(n, shard_index, shard_count)))
+        n, _weak_order_batches(n, shard_index, shard_count), keep))
 
 
-def _weak_order_line_batches(n: int, batches) -> Iterator[Iterator[str]]:
+def _weak_order_line_batches(n: int, batches, keep=None) -> Iterator[Iterator[str]]:
     lead = f"weakorder {n} : "
     # the texts of each list of completions, keyed by its prefix's mask: one
     # mask gives one list within a walk
@@ -229,7 +243,11 @@ def _weak_order_line_batches(n: int, batches) -> Iterator[Iterator[str]]:
         if texts is None:
             texts = tails[used] = [" ".join(map(str, rest)) for rest in rests]
         head = lead + "".join([f"{r} " for r in prefix])
-        yield map(head.__add__, texts[held])
+        if keep is None:
+            yield map(head.__add__, texts[held])
+        else:
+            yield [head + text for rest, text in zip(rests[held], texts[held])
+                   if keep(prefix + rest)]
 
 
 def _listing(text: str, tokens: list[str], start: int, n: int) -> TotalOrder:

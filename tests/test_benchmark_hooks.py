@@ -47,21 +47,19 @@ def test_install_and_uninstall_restore_the_package(tracer):
 
 def test_filter_calls_are_traced(tracer, capsys):
     # the filters call their predicates through module globals, which the
-    # tracer replaces; a predicate bound at import would be invisible here
+    # tracer replaces; a predicate bound at import would be invisible here.
+    # The enumeration route of `count` tests every table by its definition
     tr = tracer.Tracer()
     tr.install()
     try:
-        code = cli.main([
-            "enumerate", "qt-semigroups", "--n", "3", "--filter", "commutative",
-            "--filter", "monotone-for-reference", "--filter", "neutral",
-        ])
+        codes = [cli.main(["count", name, "3", "--method", "enumerate"])
+                 for name in ("v_e", "comm")]
         calls = tracer.reduce(tr.names, tr.take())["names"]
     finally:
         tr.uninstall()
-    assert code == 0
-    # the maxima of the 2^(3-1) single-peaked orderings, each with its bottom
-    # element neutral
-    assert capsys.readouterr().out.count("\n") == 4
+    assert codes == [0, 0]
+    # v_e(3) = 6, and comm(3) = 3!
+    assert capsys.readouterr().out == "v_e 3 6 enumerate\ncomm 3 6 enumerate\n"
     for name in ("magmas.is_commutative", "magmas.is_order_preserving",
                  "magmas.neutral_elements"):
         assert calls.get(name, {}).get("calls", 0) > 0, name
@@ -75,11 +73,10 @@ LINES_AT_3 = {
     "qt-semigroups": 20,
 }
 # the runs at n = 3 that write one object at a time, with their line counts:
-# every family without a line stream, and filtered runs of those with one
+# every run of a family without a line stream, filtered or not
 EMIT_RUNS = {
     **{(family,): LINES_AT_3[family] for family, row in FAMILIES.items() if row[3] is None},
-    ("weak-orders", "--filter", "unique-min"): 9,
-    ("qt-semigroups", "--filter", "commutative"): 6,
+    ("total-orders", "--filter", "unique-min"): 6,
 }
 
 
@@ -102,10 +99,21 @@ def test_every_emitted_line_is_one_traced_emit(tracer, capsys, run):
     assert calls.get(f"formats.{FAMILIES[family][2]}", {}).get("calls", 0) == lines
 
 
-@pytest.mark.parametrize("family", [family for family, row in FAMILIES.items() if row[3]])
-def test_unfiltered_run_is_one_call_of_its_line_stream(monkeypatch, capsys, family):
-    # an unfiltered run looks its line stream up in `formats` by name once
-    # per run, so a wrapper installed after import sees the call
+# the runs of shard 1 of 2 at n = 3 written from a line stream, with their
+# line counts: the unfiltered ones, and ones whose top class is a singleton
+LINE_STREAM_RUNS = {
+    **{(family,): LINES_AT_3[family] // 2 for family, row in FAMILIES.items() if row[3]},
+    ("weak-orders", "--filter", "unique-max"): 3,
+    ("qt-semigroups", "--filter", "annihilator"): 6,
+}
+
+
+@pytest.mark.parametrize("run", list(LINE_STREAM_RUNS), ids=" ".join)
+def test_run_is_one_call_of_its_line_stream(monkeypatch, capsys, run):
+    # every run of a family with a line stream, filtered or not, looks the
+    # stream up in `formats` by name once per run, so a wrapper installed
+    # after import sees the call
+    family, *filters = run
     name = FAMILIES[family][3]
     calls = []
 
@@ -114,9 +122,10 @@ def test_unfiltered_run_is_one_call_of_its_line_stream(monkeypatch, capsys, fami
         return _fn(*args)
 
     monkeypatch.setattr(formats, name, counted)
-    assert cli.main(["enumerate", family, "--n", "3", "--shards", "2", "--shard", "1"]) == 0
-    assert capsys.readouterr().out.count("\n") == LINES_AT_3[family] // 2
-    assert calls == [(3, 1, 2)]
+    argv = ["enumerate", family, "--n", "3", "--shards", "2", "--shard", "1", *filters]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == LINE_STREAM_RUNS[run]
+    assert calls == [(3, 1, 2, frozenset(filters[1:]))]
 
 
 def test_bruteforce_route_is_one_traced_search(tracer, capsys):

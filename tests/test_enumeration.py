@@ -20,7 +20,10 @@ from quasitrivial import enumeration, formats
 from quasitrivial.counting import ordered_bell, q_recurrence, v_recurrence
 from quasitrivial.enumeration import (
     FAMILIES,
+    OPERATION_FILTERS,
+    ORDER_FILTERS,
     QT_SEMIGROUP_MAX_N,
+    RANK_VERDICTS,
     TOTAL_ORDER_MAX_N,
     WEAK_ORDER_MAX_N,
     FamilySpec,
@@ -290,6 +293,36 @@ def test_filters_are_predicates_of_the_object(family):
         assert list(generate(spec)) == [obj for obj in stream(4) if test(obj)]
 
 
+# the families written by a line stream, whose filters have rank verdicts
+_LINE_FAMILIES = [family for family, row in FAMILIES.items() if row[3]]
+
+
+class TestRankVerdicts:
+    def test_one_verdict_per_line_stream_filter(self):
+        names = set().union(*(FAMILIES[family][1] for family in _LINE_FAMILIES))
+        assert set(RANK_VERDICTS) == names
+
+    def test_order_verdicts_are_the_definitions(self):
+        for n in range(0, 8):
+            for w in weak_orders(n):
+                for name, test in ORDER_FILTERS.items():
+                    assert RANK_VERDICTS[name](w.ranks) == test(w), (name, w)
+
+    def test_block_verdicts_hold_for_every_table(self):
+        # the verdict of an ordering is that of each object predicate on every
+        # table of its block: the paper's characterizations, checked on all
+        # q(n) tables for n <= 7
+        for n in range(1, 8):
+            tables = 0
+            for block in enumeration._operation_blocks(n):
+                block_tables = list(enumeration._qt_semigroups([block]))
+                tables += len(block_tables)
+                for name, test in OPERATION_FILTERS.items():
+                    verdict = RANK_VERDICTS[name](block[0])
+                    assert all(test(f) == verdict for f in block_tables), (name, block[0])
+        assert tables == 146050
+
+
 class TestPeakedFamilies:
     def test_weakly_single_peaked_three_elements(self):
         got = [emit_weak_order(w) for w in generate(FamilySpec("weakly-single-peaked-weak-orders", 3))]
@@ -456,3 +489,19 @@ def test_input_rule_precedence(name):
         raises(ValueError, empty, 0)
     else:
         assert list(stream(0)) == empty
+
+
+@pytest.mark.parametrize("family", _LINE_FAMILIES)
+@pytest.mark.parametrize("bad", ["bogus", "other family"])
+def test_line_stream_filter_rule(family, bad):
+    # a filter that does not apply raises FamilySpec's ValueError when the
+    # line stream is called, before the rest of the input rule
+    if bad == "other family":
+        bad = min(next(FAMILIES[f][1] for f in _LINE_FAMILIES if f != family))
+    filters = frozenset({bad, min(FAMILIES[family][1])})
+    with pytest.raises(ValueError) as expected:
+        FamilySpec(family, 3, filters)
+    for n in (3, -1):
+        with pytest.raises(ValueError) as info:
+            getattr(formats, FAMILIES[family][3])(n, 0, 1, filters)
+        assert (type(info.value), str(info.value)) == (ValueError, str(expected.value))

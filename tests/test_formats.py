@@ -1,5 +1,7 @@
 """Formats: parse/emit roundtrips, diagnostics with locations, report record."""
 
+from itertools import combinations
+
 import pytest
 
 from quasitrivial import FiniteBinOp, ParseError, TotalOrder, WeakOrder, classify, formats
@@ -194,6 +196,28 @@ def test_line_stream_equals_emitted_objects(family):
             for shard_index in range(shard_count):
                 expected = list(map(emit, stream(n, shard_index, shard_count)))
                 assert list(line_stream(n, shard_index, shard_count)) == expected
+
+
+@pytest.mark.parametrize("family", [family for family, row in FAMILIES.items() if row[3]])
+def test_filtered_line_stream_equals_filtered_objects(family):
+    # every filter and every pair of filters, at every shard of each K for
+    # n <= 6.  The reference is `generate`'s filter step over the unfiltered
+    # shard, each object predicate called once per object
+    _, tests, emitter, lines = FAMILIES[family]
+    emit, line_stream = getattr(formats, emitter), getattr(formats, lines)
+    names = sorted(tests)
+    filter_sets = [{name} for name in names] + [set(pair) for pair in combinations(names, 2)]
+    for n in range(0 if family == "weak-orders" else 1, 7):
+        for shard_count in (1, 2, 3, 7):
+            for shard_index in range(shard_count):
+                objects = list(generate(FamilySpec(family, n), shard_index, shard_count))
+                texts = list(map(emit, objects))
+                passes = {name: [tests[name](obj) for obj in objects] for name in names}
+                for filters in filter_sets:
+                    kept = [all(flags) for flags in zip(*[passes[name] for name in filters])]
+                    expected = [text for text, keep in zip(texts, kept) if keep]
+                    got = list(line_stream(n, shard_index, shard_count, frozenset(filters)))
+                    assert got == expected, (n, shard_index, shard_count, filters)
 
 
 class TestClassificationRecord:
